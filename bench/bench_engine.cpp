@@ -29,36 +29,34 @@
 //   bench_engine [--json] [--quick] [--jobs N] [--repeat N]
 //                [--guard BASELINE.json] [--tolerance F]
 //
+// It parses the shared bench flags and honours --quick, --jobs and --json.
 // --guard compares this run against a committed baseline JSON (the output
-// of a previous `bench_engine --json`) and exits 1 when a guarded rate
-// (event_throughput, batch_eval, batch_eval_exact, serve_qps,
-// fastforward_sim) regresses by more than --tolerance (default 0.15) — or
-// when any scenario reporting speedup_vs_scalar comes in at <= 1.0, or
-// fastforward_sim's speedup_vs_event below 10x (the fast-forward engine's
-// reason to exist is a ≥10x skip over the inter-failure event churn; both
-// rules are absolute, independent of the baseline).
+// of a previous `bench_engine --json`) through exp::PerfGuard and exits 1
+// when a guarded rate (event_throughput, batch_eval, batch_eval_exact,
+// serve_qps, fastforward_sim) regresses by more than --tolerance (default
+// 0.15) — or when any scenario reporting speedup_vs_scalar comes in at
+// <= 1.0, or fastforward_sim's speedup_vs_event below 10x (the fast-forward
+// engine's reason to exist is a ≥10x skip over the inter-failure event
+// churn; both rules are absolute, independent of the baseline).
 // scripts/bench_guard.sh wraps exactly this.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <queue>
 #include <span>
-#include <sstream>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "apps/serve.hpp"
 #include "apps/synthetic.hpp"
+#include "exp/cli.hpp"
+#include "exp/guard.hpp"
 #include "model/batch.hpp"
 #include "net/network.hpp"
 #include "runtime/executor.hpp"
@@ -160,11 +158,6 @@ struct Rng {
   }
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 // ---------------------------------------------------------------------------
 // Scenario workloads.
 
@@ -183,9 +176,9 @@ std::uint64_t run_event_throughput(Eng& eng, std::uint64_t total,
     });
   };
   for (int c = 0; c < kChains; ++c) arm(c);
-  const auto t0 = std::chrono::steady_clock::now();
+  const exp::Stopwatch clock;
   eng.run();
-  *out_seconds = seconds_since(t0);
+  *out_seconds = clock.seconds();
   return fired;
 }
 
@@ -223,9 +216,9 @@ std::uint64_t run_cancel_heavy(Eng& eng, std::uint64_t total_fires,
     });
   };
   for (int c = 0; c < 4; ++c) arm();
-  const auto t0 = std::chrono::steady_clock::now();
+  const exp::Stopwatch clock;
   eng.run();
-  *out_seconds = seconds_since(t0);
+  *out_seconds = clock.seconds();
   // Drain leftovers so both engines end empty (the tombstone drain is part
   // of the measured cost above; these cancels are bookkeeping only).
   for (const std::uint64_t id : fodder) eng.cancel(id);
@@ -238,7 +231,7 @@ std::uint64_t run_message_storm(int ranks, int rounds, double* out_seconds) {
   net::Network network(engine, static_cast<std::size_t>(ranks),
                        net::NetworkParams{});
   simmpi::World world(engine, network, ranks);
-  const auto t0 = std::chrono::steady_clock::now();
+  const exp::Stopwatch clock;
   constexpr int kBatch = 64;  // bound outstanding requests
   for (int done = 0; done < rounds; done += kBatch) {
     const int batch = std::min(kBatch, rounds - done);
@@ -251,7 +244,7 @@ std::uint64_t run_message_storm(int ranks, int rounds, double* out_seconds) {
     }
     engine.run();
   }
-  *out_seconds = seconds_since(t0);
+  *out_seconds = clock.seconds();
   return world.stats().messages_sent;
 }
 
@@ -277,81 +270,26 @@ std::vector<model::BatchPoint> batch_grid(int procs_steps, double r_step) {
   return points;
 }
 
-// ---------------------------------------------------------------------------
-// Results, JSON output, guard comparison.
-
-struct ScenarioResult {
-  std::string name;
-  double rate = 0.0;  // primary metric, bigger is better
-  std::string unit;
-  std::uint64_t ops = 0;
-  double seconds = 0.0;
-  double speedup = 0.0;        // 0 = not applicable
-  std::string speedup_label;   // e.g. "speedup_vs_heap"
-};
-
-std::string to_json(const std::vector<ScenarioResult>& results, bool quick) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"bench_engine\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"scenarios\": [\n";
-  char buf[256];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& s = results[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"rate\": %.6e, \"unit\": \"%s\", "
-                  "\"ops\": %llu, \"seconds\": %.6f",
-                  s.name.c_str(), s.rate, s.unit.c_str(),
-                  static_cast<unsigned long long>(s.ops), s.seconds);
-    out << buf;
-    if (!s.speedup_label.empty()) {
-      std::snprintf(buf, sizeof buf, ", \"%s\": %.3f",
-                    s.speedup_label.c_str(), s.speedup);
-      out << buf;
-    }
-    out << (i + 1 < results.size() ? "},\n" : "}\n");
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-/// Extracts `"rate": <num>` for the scenario named `name` from a baseline
-/// JSON produced by this bench. Returns false when absent.
-bool baseline_rate(const std::string& text, const std::string& name,
-                   double* rate) {
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t key = text.find("\"rate\": ", at);
-  if (key == std::string::npos) return false;
-  *rate = std::atof(text.c_str() + key + std::strlen("\"rate\": "));
-  return *rate > 0.0;
+/// The baseline document: one scenario object per line, as
+/// BENCH_baseline.json stores it.
+std::string to_json(const std::vector<exp::Measurement>& results, bool quick) {
+  std::string out = "{\n  \"bench\": \"bench_engine\",\n  \"quick\": ";
+  out += quick ? "true" : "false";
+  out += ",\n  \"scenarios\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i)
+    out += "    {" + results[i].json_fields() +
+           (i + 1 < results.size() ? "},\n" : "}\n");
+  out += "  ]\n}\n";
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false, quick = false;
-  int jobs = 0, repeat = 3;
-  double tolerance = 0.15;
-  std::string guard_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") json = true;
-    else if (arg == "--quick") quick = true;
-    else if (arg == "--jobs" && i + 1 < argc) jobs = std::atoi(argv[++i]);
-    else if (arg == "--repeat" && i + 1 < argc) repeat = std::atoi(argv[++i]);
-    else if (arg == "--tolerance" && i + 1 < argc)
-      tolerance = std::atof(argv[++i]);
-    else if (arg == "--guard" && i + 1 < argc) guard_path = argv[++i];
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--json] [--quick] [--jobs N] [--repeat N] "
-                   "[--guard BASELINE.json] [--tolerance F]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  repeat = std::max(repeat, 1);
+  exp::PerfGuard guard;
+  const exp::BenchArgs args = exp::BenchArgs::parse(argc, argv, &guard);
+  const bool quick = args.quick;
+  const int repeat = guard.repeat;
 
   const std::uint64_t throughput_events = quick ? 300000 : 2000000;
   const std::uint64_t cancel_fires = quick ? 40000 : 200000;
@@ -360,76 +298,54 @@ int main(int argc, char** argv) {
   const int grid_procs_steps = quick ? 20 : 100;
   const double grid_step = quick ? 0.02 : 0.01;
 
-  std::vector<ScenarioResult> results;
-  std::FILE* text = json ? stderr : stdout;
-  std::fprintf(text, "bench_engine (%s, repeat %d)\n",
-               quick ? "quick" : "full", repeat);
+  std::vector<exp::Measurement> results;
+  args.say("bench_engine (%s, repeat %d)\n", quick ? "quick" : "full", repeat);
 
   {  // --- event_throughput ---
-    ScenarioResult s;
-    s.name = "event_throughput";
-    s.unit = "events/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"event_throughput", "events/sec"};
     for (int i = 0; i < repeat; ++i) {
       NewEngineAdapter eng;
       double sec = 0.0;
       const std::uint64_t ops = run_event_throughput(eng, throughput_events,
                                                      &sec);
-      if (sec < s.seconds) {
-        s.seconds = sec;
-        s.ops = ops;
-      }
+      s.keep_fastest(sec, ops);
     }
-    s.rate = static_cast<double>(s.ops) / s.seconds;
-    std::fprintf(text, "  event_throughput : %10.0f events/sec\n", s.rate);
+    args.say("  event_throughput : %10.0f events/sec\n", s.rate());
     results.push_back(std::move(s));
   }
 
   {  // --- cancel_heavy (calendar queue vs reference heap) ---
-    ScenarioResult s;
-    s.name = "cancel_heavy";
-    s.unit = "ops/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"cancel_heavy", "ops/sec"};
+    s.guarded = false;
     double ref_seconds = 1e300;
     for (int i = 0; i < repeat; ++i) {
       NewEngineAdapter eng;
       double sec = 0.0;
       const std::uint64_t ops = run_cancel_heavy(eng, cancel_fires, &sec);
-      if (sec < s.seconds) {
-        s.seconds = sec;
-        s.ops = ops;
-      }
+      s.keep_fastest(sec, ops);
       RefHeapScheduler ref;
       double rsec = 0.0;
       run_cancel_heavy(ref, cancel_fires, &rsec);
       ref_seconds = std::min(ref_seconds, rsec);
     }
-    s.rate = static_cast<double>(s.ops) / s.seconds;
     s.speedup = ref_seconds / s.seconds;
     s.speedup_label = "speedup_vs_heap";
-    std::fprintf(text,
-                 "  cancel_heavy     : %10.0f ops/sec (%.2fx vs "
-                 "priority_queue+tombstones)\n",
-                 s.rate, s.speedup);
+    args.say("  cancel_heavy     : %10.0f ops/sec (%.2fx vs "
+             "priority_queue+tombstones)\n",
+             s.rate(), s.speedup);
     results.push_back(std::move(s));
   }
 
   {  // --- message_storm ---
-    ScenarioResult s;
-    s.name = "message_storm";
-    s.unit = "messages/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"message_storm", "messages/sec"};
+    s.guarded = false;
     for (int i = 0; i < repeat; ++i) {
       double sec = 0.0;
       const std::uint64_t ops = run_message_storm(storm_ranks, storm_rounds,
                                                   &sec);
-      if (sec < s.seconds) {
-        s.seconds = sec;
-        s.ops = ops;
-      }
+      s.keep_fastest(sec, ops);
     }
-    s.rate = static_cast<double>(s.ops) / s.seconds;
-    std::fprintf(text, "  message_storm    : %10.0f messages/sec\n", s.rate);
+    args.say("  message_storm    : %10.0f messages/sec\n", s.rate());
     results.push_back(std::move(s));
   }
 
@@ -452,28 +368,23 @@ int main(int argc, char** argv) {
       degrees.push_back(std::min(r, 3.0));
     const std::size_t per_config = degrees.size();
     model::BatchOptions fast;
-    fast.jobs = jobs;
+    fast.jobs = args.jobs;
     fast.mode = model::EvalMode::kFast;
-    ScenarioResult s;
-    s.name = "batch_eval";
-    s.unit = "points/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"batch_eval", "points/sec"};
     std::vector<model::Prediction> fast_out(points.size());
     for (int i = 0; i < repeat; ++i) {
-      auto t0 = std::chrono::steady_clock::now();
+      exp::Stopwatch clock;
       for (std::size_t off = 0; off < points.size(); off += per_config)
         model::evaluate_batch_into(
             points[off].config, degrees,
             std::span<model::Prediction>(fast_out.data() + off, per_config),
             fast);
-      s.seconds = std::min(s.seconds, seconds_since(t0));
-      t0 = std::chrono::steady_clock::now();
+      s.keep_fastest(clock.seconds(), points.size());
+      clock.restart();
       for (std::size_t p = 0; p < points.size(); ++p)
         scalar_out[p] = model::predict(points[p].config, points[p].r);
-      scalar_seconds = std::min(scalar_seconds, seconds_since(t0));
+      scalar_seconds = std::min(scalar_seconds, clock.seconds());
     }
-    s.ops = points.size();
-    s.rate = static_cast<double>(s.ops) / s.seconds;
     s.speedup = scalar_seconds / s.seconds;
     s.speedup_label = "speedup_vs_scalar";
     // kFast trades bitwise identity for a documented error bound; enforce
@@ -495,10 +406,9 @@ int main(int argc, char** argv) {
         max_rel = std::max(max_rel, rel);
       }
     }
-    std::fprintf(text,
-                 "  batch_eval       : %10.0f points/sec (%.2fx vs scalar "
-                 "loop; max rel err %.1e)\n",
-                 s.rate, s.speedup, max_rel);
+    args.say("  batch_eval       : %10.0f points/sec (%.2fx vs scalar "
+             "loop; max rel err %.1e)\n",
+             s.rate(), s.speedup, max_rel);
     if (max_rel > 5e-4) {
       std::fprintf(stderr,
                    "bench_engine: batch_eval kFast error %.3e exceeds the "
@@ -511,19 +421,14 @@ int main(int argc, char** argv) {
 
   {  // --- batch_eval_exact (default mode: bitwise contract) ---
     model::BatchOptions options;
-    options.jobs = jobs;
-    ScenarioResult s;
-    s.name = "batch_eval_exact";
-    s.unit = "points/sec";
-    s.seconds = 1e300;
+    options.jobs = args.jobs;
+    exp::Measurement s{"batch_eval_exact", "points/sec"};
     std::vector<model::Prediction> batch_out(points.size());
     for (int i = 0; i < repeat; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const exp::Stopwatch clock;
       model::evaluate_batch_into(points, batch_out, options);
-      s.seconds = std::min(s.seconds, seconds_since(t0));
+      s.keep_fastest(clock.seconds(), points.size());
     }
-    s.ops = points.size();
-    s.rate = static_cast<double>(s.ops) / s.seconds;
     s.speedup = scalar_seconds / s.seconds;
     s.speedup_label = "speedup_vs_scalar";
     bool bitwise = batch_out.size() == scalar_out.size();
@@ -531,10 +436,9 @@ int main(int argc, char** argv) {
       bitwise = std::memcmp(&batch_out[i], &scalar_out[i],
                             offsetof(model::Prediction, total_procs)) == 0 &&
                 batch_out[i].total_procs == scalar_out[i].total_procs;
-    std::fprintf(text,
-                 "  batch_eval_exact : %10.0f points/sec (%.2fx vs scalar "
-                 "loop; bitwise %s)\n",
-                 s.rate, s.speedup, bitwise ? "identical" : "DIFFERENT");
+    args.say("  batch_eval_exact : %10.0f points/sec (%.2fx vs scalar "
+             "loop; bitwise %s)\n",
+             s.rate(), s.speedup, bitwise ? "identical" : "DIFFERENT");
     if (!bitwise) {
       std::fprintf(stderr,
                    "bench_engine: batch_eval_exact results diverge from "
@@ -561,23 +465,16 @@ int main(int argc, char** argv) {
       log += line;
     }
     apps::ServeOptions options;
-    options.jobs = jobs;
+    options.jobs = args.jobs;
     options.cache_capacity = static_cast<std::size_t>(unique) + 1;
-    ScenarioResult s;
-    s.name = "serve_qps";
-    s.unit = "requests/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"serve_qps", "requests/sec"};
     for (int i = 0; i < repeat; ++i) {
       std::string responses;
       const apps::ServeReport report =
           apps::serve_replay(log, responses, options);
-      if (report.seconds < s.seconds) {
-        s.seconds = report.seconds;
-        s.ops = report.requests;
-      }
+      s.keep_fastest(report.seconds, report.requests);
     }
-    s.rate = static_cast<double>(s.ops) / s.seconds;
-    std::fprintf(text, "  serve_qps        : %10.0f requests/sec\n", s.rate);
+    args.say("  serve_qps        : %10.0f requests/sec\n", s.rate());
     results.push_back(std::move(s));
   }
 
@@ -604,10 +501,7 @@ int main(int argc, char** argv) {
         return std::make_unique<apps::SyntheticWorkload>(spec);
       });
     };
-    ScenarioResult s;
-    s.name = "fastforward_sim";
-    s.unit = "episodes/sec";
-    s.seconds = 1e300;
+    exp::Measurement s{"fastforward_sim", "episodes/sec"};
     double event_seconds = 1e300;
     runtime::JobReport event_report, ff_report;
     for (int i = 0; i < repeat; ++i) {
@@ -616,17 +510,16 @@ int main(int argc, char** argv) {
       // speedup ratio equally (the scalar-reference pattern above).
       runtime::JobConfig ev = cfg;
       ev.engine = runtime::ExecMode::kEvent;
-      auto t0 = std::chrono::steady_clock::now();
+      exp::Stopwatch clock;
       event_report = runtime::JobExecutor(ev, make_factory()).run();
-      event_seconds = std::min(event_seconds, seconds_since(t0));
+      event_seconds = std::min(event_seconds, clock.seconds());
       runtime::JobConfig ff = cfg;
       ff.engine = runtime::ExecMode::kFastForward;
-      t0 = std::chrono::steady_clock::now();
+      clock.restart();
       ff_report = runtime::JobExecutor(ff, make_factory()).run();
-      s.seconds = std::min(s.seconds, seconds_since(t0));
+      s.keep_fastest(clock.seconds(),
+                     static_cast<std::uint64_t>(ff_report.episodes));
     }
-    s.ops = static_cast<std::uint64_t>(ff_report.episodes);
-    s.rate = static_cast<double>(s.ops) / s.seconds;
     s.speedup = event_seconds / s.seconds;
     s.speedup_label = "speedup_vs_event";
     // The contract the speedup is worthless without: bit-identical reports
@@ -647,11 +540,10 @@ int main(int argc, char** argv) {
         event_report.network_contention_wait ==
             ff_report.network_contention_wait &&
         event_report.red_messages_compared == ff_report.red_messages_compared;
-    std::fprintf(text,
-                 "  fastforward_sim  : %10.0f episodes/sec (%.1fx vs event "
-                 "engine; %d failures; reports %s)\n",
-                 s.rate, s.speedup, ff_report.job_failures,
-                 identical ? "identical" : "DIFFERENT");
+    args.say("  fastforward_sim  : %10.0f episodes/sec (%.1fx vs event "
+             "engine; %d failures; reports %s)\n",
+             s.rate(), s.speedup, ff_report.job_failures,
+             identical ? "identical" : "DIFFERENT");
     if (!identical) {
       std::fprintf(stderr,
                    "bench_engine: fastforward_sim report diverges from the "
@@ -668,63 +560,24 @@ int main(int argc, char** argv) {
     results.push_back(std::move(s));
   }
 
-  if (json) std::fputs(to_json(results, quick).c_str(), stdout);
+  if (args.json) std::fputs(to_json(results, quick).c_str(), stdout);
 
-  if (!guard_path.empty()) {
-    std::ifstream in(guard_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_engine: cannot read baseline '%s'\n",
-                   guard_path.c_str());
-      return 1;
-    }
-    const std::string baseline((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    bool failed = false;
-    std::fprintf(text, "guard vs %s (tolerance %.0f%%):\n", guard_path.c_str(),
-                 100.0 * tolerance);
-    for (const char* guarded : {"event_throughput", "batch_eval",
-                                "batch_eval_exact", "serve_qps",
-                                "fastforward_sim"}) {
-      double base = 0.0;
-      if (!baseline_rate(baseline, guarded, &base)) {
-        std::fprintf(stderr, "bench_engine: baseline has no rate for '%s'\n",
-                     guarded);
-        failed = true;
-        continue;
-      }
-      double current = 0.0;
-      for (const ScenarioResult& s : results)
-        if (s.name == guarded) current = s.rate;
-      const double floor = base * (1.0 - tolerance);
-      const bool ok = current >= floor;
-      std::fprintf(text, "  %-17s: %10.0f vs baseline %10.0f -> %s\n", guarded,
-                   current, base, ok ? "ok" : "REGRESSION");
-      failed = failed || !ok;
-    }
-    // Absolute rule, independent of the baseline: a parallel/vectorized
-    // path slower than its scalar reference is a regression. The old guard
-    // tolerated batch_eval's 0.948x silently because only the rate was
-    // compared.
-    for (const ScenarioResult& s : results) {
-      if (s.speedup_label == "speedup_vs_scalar" && s.speedup <= 1.0) {
-        std::fprintf(text,
-                     "  %-17s: %.2fx vs scalar -> REGRESSION (parallel "
-                     "path must beat the scalar loop)\n",
-                     s.name.c_str(), s.speedup);
-        failed = true;
-      }
-      // The fast-forward engine's contract is a >= 10x skip over the
-      // inter-failure churn on failure-heavy jobs; below that, arithmetic
-      // reconstruction has regressed into re-simulation.
-      if (s.speedup_label == "speedup_vs_event" && s.speedup < 10.0) {
-        std::fprintf(text,
-                     "  %-17s: %.1fx vs event engine -> REGRESSION "
-                     "(fast-forward must skip >= 10x)\n",
-                     s.name.c_str(), s.speedup);
-        failed = true;
-      }
-    }
-    if (failed) return 1;
+  bool ok = guard.check(args, "bench_engine", results);
+  // Absolute rules, independent of the baseline. A parallel/vectorized path
+  // slower than its scalar reference is a regression: the old guard
+  // tolerated batch_eval's 0.948x silently because only the rate was
+  // compared. The fast-forward engine's contract is a >= 10x skip over the
+  // inter-failure churn on failure-heavy jobs; below that, arithmetic
+  // reconstruction has regressed into re-simulation.
+  for (const exp::Measurement& s : results) {
+    if (s.speedup_label == "speedup_vs_scalar")
+      ok = guard.require(args, s, s.speedup > 1.0, "%.2fx vs scalar",
+                         "parallel path must beat the scalar loop") &&
+           ok;
+    if (s.speedup_label == "speedup_vs_event")
+      ok = guard.require(args, s, s.speedup >= 10.0, "%.1fx vs event engine",
+                         "fast-forward must skip >= 10x") &&
+           ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -23,15 +23,10 @@
 //                [--csv DIR] [--filter SPEC] [--keep-going]
 //                [--repeat N] [--guard BASELINE.json] [--tolerance F]
 //
-// The guard flags are peeled off before the shared BenchArgs parser; the
-// rest is the standard experiment-harness CLI.
-#include <chrono>
+// The standard experiment-harness CLI plus the perf-guard flags
+// (exp/guard.hpp).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,44 +83,11 @@ runtime::JobConfig sim_config(double mtbf_hours, double pv, double s,
   return cfg;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Extracts `"rate": <num>` for the scenario named `name` from a baseline
-/// JSON (same scraping contract as bench_engine's guard).
-bool baseline_rate(const std::string& text, const std::string& name,
-                   double* rate) {
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t key = text.find("\"rate\": ", at);
-  if (key == std::string::npos) return false;
-  *rate = std::atof(text.c_str() + key + std::strlen("\"rate\": "));
-  return *rate > 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the guard flags; everything else goes to the shared parser.
-  std::string guard_path;
-  double tolerance = 0.15;
-  int repeat = 3;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--guard" && i + 1 < argc) guard_path = argv[++i];
-    else if (arg == "--tolerance" && i + 1 < argc)
-      tolerance = std::atof(argv[++i]);
-    else if (arg == "--repeat" && i + 1 < argc) repeat = std::atoi(argv[++i]);
-    else rest.push_back(argv[i]);
-  }
-  repeat = std::max(repeat, 1);
-  exp::BenchArgs args =
-      exp::BenchArgs::parse(static_cast<int>(rest.size()), rest.data());
+  exp::PerfGuard guard;
+  const exp::BenchArgs args = exp::BenchArgs::parse(argc, argv, &guard);
   exp::print_header(args, "Unreliable checkpoint/restart: model vs DES",
                     "fault-pipeline extension of the ICDCS'12 combined model");
 
@@ -266,60 +228,23 @@ int main(int argc, char** argv) {
   // --- faults_off_sim: the zero-cost guard scenario -------------------------
   // Every probability zero, retention 1: the executor must run the exact
   // pre-fault fast path. Rate is engine events per second over a fixed
-  // failure-heavy job; best of --repeat runs.
-  double best_seconds = 1e300;
-  std::uint64_t ops = 0;
-  // Fixed size even under --quick: the guard compares against a committed
-  // baseline, so the measured workload must not depend on the mode.
-  const int guard_jobs = 12;
-  for (int rep = 0; rep < repeat; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t events = 0;
-    for (int j = 0; j < guard_jobs; ++j) {
-      runtime::JobConfig cfg =
-          sim_config(0.4, 1.0, 1.0, static_cast<std::uint64_t>(j) + 1);
-      cfg.ckpt_faults = {};
-      cfg.ckpt_retention = 1;
-      events += runtime::JobExecutor(cfg, factory()).run().engine_events;
-    }
-    const double sec = seconds_since(t0);
-    if (sec < best_seconds) {
-      best_seconds = sec;
-      ops = events;
-    }
-  }
-  const double rate = static_cast<double>(ops) / best_seconds;
-  args.say("faults_off_sim     : %10.0f events/sec "
-           "(fault hooks disabled, retention 1)\n",
-           rate);
-  if (args.json)
-    std::printf("{\"bench\": \"bench_faults\", \"name\": \"faults_off_sim\", "
-                "\"rate\": %.6e, \"unit\": \"events/sec\", \"ops\": %llu, "
-                "\"seconds\": %.6f}\n",
-                rate, static_cast<unsigned long long>(ops), best_seconds);
-
-  if (!guard_path.empty()) {
-    std::ifstream in(guard_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_faults: cannot read baseline '%s'\n",
-                   guard_path.c_str());
-      return 1;
-    }
-    const std::string baseline((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    double base = 0.0;
-    if (!baseline_rate(baseline, "faults_off_sim", &base)) {
-      std::fprintf(stderr,
-                   "bench_faults: baseline has no rate for 'faults_off_sim'\n");
-      return 1;
-    }
-    const double floor = base * (1.0 - tolerance);
-    const bool ok = rate >= floor;
-    args.say("guard vs %s (tolerance %.0f%%):\n  faults_off_sim   : "
-             "%10.0f vs baseline %10.0f -> %s\n",
-             guard_path.c_str(), 100.0 * tolerance, rate, base,
-             ok ? "ok" : "REGRESSION");
-    if (!ok) return 1;
-  }
-  return 0;
+  // failure-heavy job set. Fixed size even under --quick: the guard compares
+  // against a committed baseline, so the measured workload must not depend
+  // on the mode.
+  const exp::Measurement sim =
+      guard.best_of("faults_off_sim", "events/sec", [] {
+        std::uint64_t events = 0;
+        for (int j = 0; j < 12; ++j) {
+          runtime::JobConfig cfg =
+              sim_config(0.4, 1.0, 1.0, static_cast<std::uint64_t>(j) + 1);
+          cfg.ckpt_faults = {};
+          cfg.ckpt_retention = 1;
+          events += runtime::JobExecutor(cfg, factory()).run().engine_events;
+        }
+        return events;
+      });
+  return guard.report(args, "bench_faults", sim,
+                      "fault hooks disabled, retention 1")
+             ? 0
+             : 1;
 }

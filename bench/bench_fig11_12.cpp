@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       runner.map(trials, [&](const exp::Trial& trial) {
         const bench::CellResult cell = bench::run_experiment_cell(
             trial.at("mtbf"), trial.at("r"), args.seeds, args.quick,
-            bench::exec_mode(args.engine));
+            args.engine);
         std::fprintf(stderr, "  overlay mtbf=%gh r=%.2f obs=%.0f\n",
                      trial.at("mtbf"), trial.at("r"), cell.minutes_mean);
         return cell;

@@ -13,8 +13,8 @@
 //                    against model::predict_unreliable with the matching
 //                    per-level recovery terms (calibrated checkpoint cost
 //                    and base time from a failure-free run). Hard-fails when
-//                    the model misses the simulator by more than
-//                    --model-tolerance (relative).
+//                    the model misses the simulator by more than 35%
+//                    (relative).
 //   multilevel_sim   guard scenario: engine events/sec over a fixed set of
 //                    hierarchy-enabled jobs. --guard BASELINE.json fails the
 //                    run when the rate regresses more than --tolerance vs
@@ -23,17 +23,12 @@
 //   bench_multilevel [--quick|--full] [--seeds N] [--jobs N] [--json]
 //                    [--csv DIR] [--filter SPEC] [--repeat N]
 //                    [--guard BASELINE.json] [--tolerance F]
-//                    [--model-tolerance F]
 //
-// The guard/tolerance flags are peeled off before the shared BenchArgs
-// parser; the rest is the standard experiment-harness CLI.
-#include <chrono>
+// The standard experiment-harness CLI plus the perf-guard flags
+// (exp/guard.hpp).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +61,9 @@ constexpr double kCacheBandwidth = 1e10;  // bytes/s, local and XOR levels
 constexpr double kImageBytes = 1e9;
 constexpr double kInterval = 60.0;
 constexpr double kRestartCost = 30.0;
+/// Largest relative model-vs-sim wallclock error the cost-ratio sweep
+/// accepts.
+constexpr double kModelTolerance = 0.35;
 
 /// The SCR-like three-level hierarchy: local every epoch, XOR (group 4,
 /// k = 1) every 2nd, PFS every 4th with an asynchronous drain. `ratio` is
@@ -115,47 +113,11 @@ runtime::JobConfig sim_config(double ratio, double mtbf_hours,
   return cfg;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Extracts `"rate": <num>` for the scenario named `name` from a baseline
-/// JSON (same scraping contract as bench_engine's guard).
-bool baseline_rate(const std::string& text, const std::string& name,
-                   double* rate) {
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t key = text.find("\"rate\": ", at);
-  if (key == std::string::npos) return false;
-  *rate = std::atof(text.c_str() + key + std::strlen("\"rate\": "));
-  return *rate > 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the guard flags; everything else goes to the shared parser.
-  std::string guard_path;
-  double tolerance = 0.15;
-  double model_tolerance = 0.35;
-  int repeat = 3;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--guard" && i + 1 < argc) guard_path = argv[++i];
-    else if (arg == "--tolerance" && i + 1 < argc)
-      tolerance = std::atof(argv[++i]);
-    else if (arg == "--model-tolerance" && i + 1 < argc)
-      model_tolerance = std::atof(argv[++i]);
-    else if (arg == "--repeat" && i + 1 < argc) repeat = std::atoi(argv[++i]);
-    else rest.push_back(argv[i]);
-  }
-  repeat = std::max(repeat, 1);
-  exp::BenchArgs args =
-      exp::BenchArgs::parse(static_cast<int>(rest.size()), rest.data());
+  exp::PerfGuard guard;
+  const exp::BenchArgs args = exp::BenchArgs::parse(argc, argv, &guard);
   exp::print_header(args, "Multi-level checkpoint storage hierarchy",
                     "SCR-style extension of the ICDCS'12 combined model");
 
@@ -354,68 +316,32 @@ int main(int argc, char** argv) {
   }
   table.emit(args);
   args.say("worst model-vs-sim relative error: %.3f (tolerance %.2f)\n\n",
-           worst_err, model_tolerance);
-  if (worst_err > model_tolerance) {
+           worst_err, kModelTolerance);
+  if (worst_err > kModelTolerance) {
     std::fprintf(stderr,
                  "bench_multilevel: FAIL: model misses the simulator by "
                  "%.3f (> %.2f) somewhere in the cost-ratio sweep\n",
-                 worst_err, model_tolerance);
+                 worst_err, kModelTolerance);
     exit_code = 1;
   }
 
   // --- multilevel_sim: the guarded hierarchy throughput scenario ----------
   // Fixed size even under --quick: the guard compares against a committed
   // baseline, so the measured workload must not depend on the mode.
-  double best_seconds = 1e300;
-  std::uint64_t ops = 0;
-  const int guard_jobs = 12;
-  for (int rep = 0; rep < repeat; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t events = 0;
-    for (int j = 0; j < guard_jobs; ++j)
-      events += runtime::JobExecutor(
-                    sim_config(16.0, 0.4, static_cast<std::uint64_t>(j) + 1),
-                    factory())
-                    .run()
-                    .engine_events;
-    const double sec = seconds_since(t0);
-    if (sec < best_seconds) {
-      best_seconds = sec;
-      ops = events;
-    }
-  }
-  const double rate = static_cast<double>(ops) / best_seconds;
-  args.say("multilevel_sim     : %10.0f events/sec "
-           "(3-level hierarchy, async flush)\n",
-           rate);
-  if (args.json)
-    std::printf("{\"bench\": \"bench_multilevel\", \"name\": "
-                "\"multilevel_sim\", \"rate\": %.6e, \"unit\": "
-                "\"events/sec\", \"ops\": %llu, \"seconds\": %.6f}\n",
-                rate, static_cast<unsigned long long>(ops), best_seconds);
-
-  if (!guard_path.empty()) {
-    std::ifstream in(guard_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_multilevel: cannot read baseline '%s'\n",
-                   guard_path.c_str());
-      return 1;
-    }
-    const std::string baseline((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    double base = 0.0;
-    if (!baseline_rate(baseline, "multilevel_sim", &base)) {
-      std::fprintf(stderr, "bench_multilevel: baseline has no rate for "
-                           "'multilevel_sim'\n");
-      return 1;
-    }
-    const double floor = base * (1.0 - tolerance);
-    const bool ok = rate >= floor;
-    args.say("guard vs %s (tolerance %.0f%%):\n  multilevel_sim   : "
-             "%10.0f vs baseline %10.0f -> %s\n",
-             guard_path.c_str(), 100.0 * tolerance, rate, base,
-             ok ? "ok" : "REGRESSION");
-    if (!ok) return 1;
-  }
+  const exp::Measurement sim =
+      guard.best_of("multilevel_sim", "events/sec", [] {
+        std::uint64_t events = 0;
+        for (int j = 0; j < 12; ++j) {
+          const auto seed = static_cast<std::uint64_t>(j) + 1;
+          events += runtime::JobExecutor(sim_config(16.0, 0.4, seed),
+                                         factory())
+                        .run()
+                        .engine_events;
+        }
+        return events;
+      });
+  if (!guard.report(args, "bench_multilevel", sim,
+                    "3-level hierarchy, async flush"))
+    return 1;
   return exit_code;
 }

@@ -28,13 +28,8 @@
 //             [--csv DIR] [--filter SPEC] [--keep-going]
 //             [--repeat N] [--guard BASELINE.json] [--tolerance F]
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,22 +85,6 @@ runtime::JobConfig sim_config(double r, double interval, std::uint64_t seed) {
   return cfg;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-bool baseline_rate(const std::string& text, const std::string& name,
-                   double* rate) {
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t key = text.find("\"rate\": ", at);
-  if (key == std::string::npos) return false;
-  *rate = std::atof(text.c_str() + key + std::strlen("\"rate\": "));
-  return *rate > 0.0;
-}
-
 double rel_err(double sim, double model) {
   return sim > 0.0 ? std::fabs(model - sim) / sim : 0.0;
 }
@@ -113,23 +92,8 @@ double rel_err(double sim, double model) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off the guard flags; everything else goes to the shared parser.
-  std::string guard_path;
-  double tolerance = 0.15;
-  int repeat = 3;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--guard" && i + 1 < argc) guard_path = argv[++i];
-    else if (arg == "--tolerance" && i + 1 < argc)
-      tolerance = std::atof(argv[++i]);
-    else if (arg == "--repeat" && i + 1 < argc) repeat = std::atoi(argv[++i]);
-    else rest.push_back(argv[i]);
-  }
-  repeat = std::max(repeat, 1);
-  exp::BenchArgs args =
-      exp::BenchArgs::parse(static_cast<int>(rest.size()), rest.data());
+  exp::PerfGuard guard;
+  const exp::BenchArgs args = exp::BenchArgs::parse(argc, argv, &guard);
   // Every job here deliberately injects SDC, so the executor's per-job
   // warnings are pure noise at bench scale; keep errors, drop the rest
   // unless the caller asked for a level explicitly.
@@ -296,55 +260,17 @@ int main(int argc, char** argv) {
   // Both SDC classes live on the dual-redundancy executor; the rate guards
   // the strain propagation + per-delivery voting hooks. Fixed size even
   // under --quick: the guard compares against a committed baseline.
-  double best_seconds = 1e300;
-  std::uint64_t ops = 0;
-  const int guard_jobs = 12;
-  for (int rep = 0; rep < repeat; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
+  const exp::Measurement sim = guard.best_of("sdc_sim", "events/sec", [] {
     std::uint64_t events = 0;
-    for (int j = 0; j < guard_jobs; ++j) {
+    for (int j = 0; j < 12; ++j) {
       runtime::JobConfig cfg =
           sim_config(2.0, 60.0, static_cast<std::uint64_t>(j) + 1);
       cfg.sdc.inflight_prob = 1e-5;
       events += runtime::JobExecutor(cfg, factory()).run().engine_events;
     }
-    const double sec = seconds_since(t0);
-    if (sec < best_seconds) {
-      best_seconds = sec;
-      ops = events;
-    }
-  }
-  const double rate = static_cast<double>(ops) / best_seconds;
-  args.say("sdc_sim            : %10.0f events/sec "
-           "(at-rest + in-flight SDC live, r=2)\n",
-           rate);
-  if (args.json)
-    std::printf("{\"bench\": \"bench_sdc\", \"name\": \"sdc_sim\", "
-                "\"rate\": %.6e, \"unit\": \"events/sec\", \"ops\": %llu, "
-                "\"seconds\": %.6f}\n",
-                rate, static_cast<unsigned long long>(ops), best_seconds);
-
-  if (!guard_path.empty()) {
-    std::ifstream in(guard_path);
-    if (!in) {
-      std::fprintf(stderr, "bench_sdc: cannot read baseline '%s'\n",
-                   guard_path.c_str());
-      return 1;
-    }
-    const std::string baseline((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    double base = 0.0;
-    if (!baseline_rate(baseline, "sdc_sim", &base)) {
-      std::fprintf(stderr, "bench_sdc: baseline has no rate for 'sdc_sim'\n");
-      return 1;
-    }
-    const double floor = base * (1.0 - tolerance);
-    const bool ok = rate >= floor;
-    args.say("guard vs %s (tolerance %.0f%%):\n  sdc_sim          : "
-             "%10.0f vs baseline %10.0f -> %s\n",
-             guard_path.c_str(), 100.0 * tolerance, rate, base,
-             ok ? "ok" : "REGRESSION");
-    if (!ok) return 1;
-  }
-  return accuracy_ok ? 0 : 1;
+    return events;
+  });
+  const bool fast = guard.report(args, "bench_sdc", sim,
+                                 "at-rest + in-flight SDC live, r=2");
+  return fast && accuracy_ok ? 0 : 1;
 }

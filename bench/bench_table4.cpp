@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       runner.map(trials, [&](const exp::Trial& trial) {
         const bench::CellResult cell = bench::run_experiment_cell(
             trial.at("mtbf"), trial.at("r"), args.seeds, args.quick,
-            bench::exec_mode(args.engine));
+            args.engine);
         std::fprintf(stderr, "  cell mtbf=%gh r=%.2f -> %.0f min (%d seeds)\n",
                      trial.at("mtbf"), trial.at("r"), cell.minutes_mean,
                      args.seeds);

@@ -12,22 +12,11 @@
 
 #include "apps/synthetic.hpp"
 #include "model/combined.hpp"
-#include "redcr/run_options.hpp"
 #include "runtime/executor.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace redcr::bench {
-
-/// Maps the CLI-facing engine choice onto the executor's mode enum.
-inline runtime::ExecMode exec_mode(redcr::EngineMode mode) noexcept {
-  switch (mode) {
-    case redcr::EngineMode::kEvent: return runtime::ExecMode::kEvent;
-    case redcr::EngineMode::kFastForward: return runtime::ExecMode::kFastForward;
-    case redcr::EngineMode::kAuto: return runtime::ExecMode::kAuto;
-  }
-  return runtime::ExecMode::kEvent;
-}
 
 /// The paper's measured CG application parameters (Section 6).
 inline model::AppParams paper_app() {

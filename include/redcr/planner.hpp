@@ -16,13 +16,10 @@
 //     exposed via stats() for export through the obs registry (the serve
 //     front-end publishes them as planner.plan_cache.* metrics).
 //
-// Migration note: this header replaces direct use of model::evaluate_batch
-// / model::predict outside src/model/. Old call sites map directly:
-//
-//   model::evaluate_batch(cfg, degrees, opts)   ->  Planner::plan({cfg, ...})
-//   model::predict(cfg, r)                      ->  Planner::evaluate(cfg, r)
-//
-// plus plan caching and observability for free. See DESIGN.md §12.
+// For one-off point sets that would not hit the plan cache, calling
+// model::predict / model::evaluate_batch directly is the engine used as
+// designed; the Planner adds caching and counters for repeated scenarios.
+// See DESIGN.md §12.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +27,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -104,12 +100,6 @@ class Planner {
   [[nodiscard]] model::Prediction evaluate(const model::CombinedConfig& config,
                                            double r);
 
-  /// Direct batch evaluation (no plan cache — arbitrary point sets don't
-  /// canonicalize usefully). Thread-safe like every other entry point.
-  [[nodiscard]] std::vector<model::Prediction> evaluate_batch(
-      std::span<const model::BatchPoint> points,
-      const model::BatchOptions& options = {});
-
   /// Monotonic counters since construction. Exported by the serve
   /// front-end through the obs registry as planner.* metrics.
   struct Stats {
@@ -117,7 +107,7 @@ class Planner {
     std::uint64_t plan_cache_misses = 0;
     std::uint64_t plan_cache_evictions = 0;
     std::uint64_t plans = 0;        ///< plan() calls answered
-    std::uint64_t evaluations = 0;  ///< evaluate()/evaluate_batch() calls
+    std::uint64_t evaluations = 0;  ///< evaluate() calls
     std::uint64_t points = 0;       ///< model points computed (not cached)
   };
   [[nodiscard]] Stats stats() const;

@@ -12,7 +12,7 @@
 //                      for campaign-shaped studies
 //
 // Minimal model example (redcr::Planner is the stable query surface; see
-// the migration note in redcr/planner.hpp):
+// redcr/planner.hpp):
 //
 //   #include "redcr/redcr.hpp"
 //   redcr::Planner planner;
@@ -82,17 +82,7 @@ inline runtime::JobReport run_job(runtime::JobConfig config,
   obs::Journal journal;
   if (options.wants_recording()) config.recorder = &recorder;
   if (options.wants_journal()) config.journal = &journal;
-  switch (options.engine) {
-    case EngineMode::kEvent:
-      config.engine = runtime::ExecMode::kEvent;
-      break;
-    case EngineMode::kFastForward:
-      config.engine = runtime::ExecMode::kFastForward;
-      break;
-    case EngineMode::kAuto:
-      config.engine = runtime::ExecMode::kAuto;
-      break;
-  }
+  config.engine = options.engine;
   const bool record_engine =
       options.wants_recording() && config.engine != runtime::ExecMode::kEvent;
   runtime::JobExecutor executor(std::move(config), std::move(factory));

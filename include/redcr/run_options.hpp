@@ -10,36 +10,10 @@
 #include <optional>
 #include <string>
 
+#include "runtime/exec_mode.hpp"
 #include "util/log.hpp"
 
 namespace redcr {
-
-/// Which execution engine runs each job. Mirrors runtime::ExecMode without
-/// pulling the runtime headers into the facade's option block.
-enum class EngineMode {
-  kEvent,        ///< full discrete-event simulation, always supported
-  kFastForward,  ///< arithmetic inter-failure skip; warns + falls back on
-                 ///< configurations it cannot prove bit-identical
-  kAuto,         ///< fast-forward when coverable, event otherwise (silent)
-};
-
-/// Parses an `--engine` argument ("event", "fastforward", "auto").
-[[nodiscard]] inline std::optional<EngineMode> parse_engine_mode(
-    const std::string& name) {
-  if (name == "event") return EngineMode::kEvent;
-  if (name == "fastforward") return EngineMode::kFastForward;
-  if (name == "auto") return EngineMode::kAuto;
-  return std::nullopt;
-}
-
-[[nodiscard]] inline const char* engine_mode_name(EngineMode mode) noexcept {
-  switch (mode) {
-    case EngineMode::kEvent: return "event";
-    case EngineMode::kFastForward: return "fastforward";
-    case EngineMode::kAuto: return "auto";
-  }
-  return "event";
-}
 
 struct RunOptions {
   /// Worker threads for sweeps/batches; <= 0 means all hardware cores.
@@ -74,7 +48,7 @@ struct RunOptions {
   /// driver can prove bit-identity and silently runs the event engine
   /// elsewhere — including when trace_out/journal_out attach a sink, which
   /// consumes per-event output the arithmetic skip does not produce.
-  EngineMode engine = EngineMode::kEvent;
+  runtime::ExecMode engine = runtime::ExecMode::kEvent;
 
   /// True when any observability sink is requested — the signal to attach a
   /// Recorder (recording costs a little; without it runs pay null checks).

@@ -16,10 +16,12 @@
 # three-level async-flush executor path; then runs bench_sdc's live-injection
 # scenario (sdc_sim), which guards the payload-strain voting hot path with
 # both SDC processes switched on. The comparison runs inside the
-# benches themselves (--guard), so no external JSON tooling is needed; on a
-# breach each bench prints the scenario name with the observed and baseline
-# rates ("<name> : <observed> vs baseline <base> -> REGRESSION"), and this
-# script names the bench that tripped.
+# benches themselves (--guard), so no external JSON tooling is needed. All
+# four share one guard, exp::PerfGuard in src/exp/guard.{hpp,cpp}: flag
+# parsing, best-of-N (--repeat) timing, the baseline lookup and the verdict
+# lines. On a breach each bench prints the scenario name with the observed
+# and baseline rates ("<name> : <observed> vs baseline <base> ->
+# REGRESSION"), and this script names the bench that tripped.
 #
 # Every guarded run also appends one NDJSON row per scenario (timestamp,
 # commit, observed rate, baseline, ok/REGRESSION) to

@@ -19,6 +19,8 @@ CgSolver::CgSolver(CgSpec spec, int rank, int world_size)
     throw std::invalid_argument("CgSolver: rows_per_rank must be > 0");
   if (!(spec_.shift > 0.0))
     throw std::invalid_argument("CgSolver: shift must be > 0 for SPD");
+  require_quantity(spec_.compute_per_iteration,
+                   "CgSolver: compute_per_iteration");
   if (rank < 0 || rank >= world_size)
     throw std::invalid_argument("CgSolver: bad rank/world");
   // Deterministic, rank-dependent right-hand side (smooth + varying).

@@ -17,6 +17,7 @@ MasterWorker::MasterWorker(MasterWorkerSpec spec, int rank, int world_size)
     throw std::invalid_argument("MasterWorker: needs at least one worker");
   if (spec_.rounds <= 0)
     throw std::invalid_argument("MasterWorker: rounds must be > 0");
+  require_quantity(spec_.base_task_cost, "MasterWorker: base_task_cost");
   reset();
 }
 

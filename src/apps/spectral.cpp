@@ -10,6 +10,9 @@ namespace redcr::apps {
 SpectralWorkload::SpectralWorkload(SpectralSpec spec) : spec_(spec) {
   if (spec_.iterations <= 0)
     throw std::invalid_argument("SpectralWorkload: iterations must be > 0");
+  require_quantity(spec_.compute_per_iteration,
+                   "SpectralWorkload: compute_per_iteration");
+  require_quantity(spec_.slab_bytes, "SpectralWorkload: slab_bytes");
 }
 
 sim::CoTask<void> SpectralWorkload::run(simmpi::Comm& comm,

@@ -17,6 +17,9 @@ Stencil3d::Stencil3d(StencilSpec spec) : spec_(spec) {
     throw std::invalid_argument("Stencil3d: iterations must be > 0");
   for (const int d : spec_.grid)
     if (d <= 0) throw std::invalid_argument("Stencil3d: bad grid dimension");
+  require_quantity(spec_.compute_per_iteration,
+                   "Stencil3d: compute_per_iteration");
+  require_quantity(spec_.face_bytes, "Stencil3d: face_bytes");
 }
 
 std::array<int, 3> Stencil3d::coords_of(int rank) const noexcept {

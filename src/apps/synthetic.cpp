@@ -18,6 +18,10 @@ SyntheticWorkload::SyntheticWorkload(SyntheticSpec spec) : spec_(spec) {
     throw std::invalid_argument("SyntheticWorkload: iterations must be > 0");
   if (spec_.halo_radius < 0)
     throw std::invalid_argument("SyntheticWorkload: negative halo radius");
+  require_quantity(spec_.compute_per_iteration,
+                   "SyntheticWorkload: compute_per_iteration");
+  require_quantity(spec_.halo_bytes, "SyntheticWorkload: halo_bytes");
+  require_quantity(spec_.allreduce_bytes, "SyntheticWorkload: allreduce_bytes");
 }
 
 sim::CoTask<void> SyntheticWorkload::run(simmpi::Comm& comm,

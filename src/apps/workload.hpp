@@ -15,12 +15,25 @@
 //    objects outlive job episodes; communicators do not.
 #pragma once
 
+#include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "sim/cotask.hpp"
 #include "simmpi/comm.hpp"
 
 namespace redcr::apps {
+
+/// Spec check shared by the kernels: a compute time or byte size must be
+/// finite and >= 0 (zero is valid, e.g. a halo-free job). Throws
+/// std::invalid_argument naming `what`.
+inline void require_quantity(double value, const char* what) {
+  if (!(value >= 0.0) || !std::isfinite(value))
+    throw std::invalid_argument(std::string(what) +
+                                " must be finite and >= 0, got " +
+                                std::to_string(value));
+}
 
 /// Collective per-boundary hook; returns true if a checkpoint was taken.
 using BoundaryHook = std::function<sim::CoTask<bool>(long iteration)>;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "exp/grid.hpp"
+#include "exp/guard.hpp"
 #include "exp/runner.hpp"
 
 namespace redcr::exp {
@@ -19,6 +20,8 @@ constexpr const char* kUsage =
     "          [--progress] [--keep-going]\n"
     "          [--engine event|fastforward|auto]\n"
     "          [--log-level debug|info|warn|error|off]\n";
+constexpr const char* kGuardUsage =
+    "          [--repeat N] [--guard BASELINE.json] [--tolerance F]\n";
 
 /// Strict positive-integer parse; std::atoi's silent 0 on garbage is exactly
 /// the bug class this replaces.
@@ -30,10 +33,21 @@ bool parse_positive_int(const char* text, int* out) {
   return true;
 }
 
+/// Strict parse of a fraction in [0, 1).
+bool parse_fraction(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(value >= 0.0 && value < 1.0))
+    return false;
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
-                                              std::string* error) {
+                                              std::string* error,
+                                              PerfGuard* guard) {
   auto fail = [&](const std::string& message) -> std::optional<BenchArgs> {
     if (error) *error = message;
     return std::nullopt;
@@ -86,7 +100,7 @@ std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
     } else if (std::strcmp(arg, "--engine") == 0) {
       const char* v = value("--engine");
       if (!v) return fail("--engine requires a value");
-      const std::optional<redcr::EngineMode> mode = redcr::parse_engine_mode(v);
+      const std::optional<runtime::ExecMode> mode = runtime::parse_engine(v);
       if (!mode)
         return fail(std::string("invalid --engine '") + v +
                     "' (expected event|fastforward|auto)");
@@ -107,6 +121,22 @@ std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
       } catch (const std::invalid_argument& e) {
         return fail(e.what());
       }
+    } else if (guard && std::strcmp(arg, "--guard") == 0) {
+      const char* v = value("--guard");
+      if (!v) return fail("--guard requires a baseline file");
+      guard->baseline_path = v;
+    } else if (guard && std::strcmp(arg, "--tolerance") == 0) {
+      const char* v = value("--tolerance");
+      if (!v) return fail("--tolerance requires a value");
+      if (!parse_fraction(v, &guard->tolerance))
+        return fail(std::string("invalid --tolerance value '") + v +
+                    "' (expected a fraction in [0, 1))");
+    } else if (guard && std::strcmp(arg, "--repeat") == 0) {
+      const char* v = value("--repeat");
+      if (!v) return fail("--repeat requires a value");
+      if (!parse_positive_int(v, &guard->repeat))
+        return fail(std::string("invalid --repeat value '") + v +
+                    "' (expected an integer >= 1)");
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       if (error) *error = "help";
       return std::nullopt;
@@ -120,9 +150,9 @@ std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
   return args;
 }
 
-BenchArgs BenchArgs::parse(int argc, char** argv) {
+BenchArgs BenchArgs::parse(int argc, char** argv, PerfGuard* guard) {
   std::string error;
-  if (std::optional<BenchArgs> args = try_parse(argc, argv, &error)) {
+  if (std::optional<BenchArgs> args = try_parse(argc, argv, &error, guard)) {
     // Env first, explicit flag last, so --log-level wins.
     util::init_log_level_from_env();
     if (args->log_level) util::set_log_level(*args->log_level);
@@ -130,7 +160,9 @@ BenchArgs BenchArgs::parse(int argc, char** argv) {
   }
   const bool help = error == "help";
   if (!help) std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-  std::fprintf(help ? stdout : stderr, kUsage, argv[0]);
+  std::FILE* out = help ? stdout : stderr;
+  std::fprintf(out, kUsage, argv[0]);
+  if (guard) std::fputs(kGuardUsage, out);
   std::exit(help ? 0 : 2);
 }
 

@@ -17,6 +17,9 @@
 //   --log-level L    debug|info|warn|error|off (default: REDCR_LOG_LEVEL
 //                    env if set and valid, else warn)
 //
+// The guarded benches add --guard FILE, --tolerance F and --repeat N
+// (exp/guard.hpp).
+//
 // Under --json, stdout carries only NDJSON rows; headers, reference tables
 // and commentary move to stderr so the stream stays machine-parseable.
 #pragma once
@@ -30,6 +33,8 @@
 
 namespace redcr::exp {
 
+struct PerfGuard;  // exp/guard.hpp
+
 struct BenchArgs {
   int seeds = 2;          ///< DES repetitions averaged per cell
   bool quick = false;     ///< --quick: 1 seed, coarser grids
@@ -42,7 +47,7 @@ struct BenchArgs {
   /// --engine: DES execution engine for the campaign cells. Sweeps default
   /// to kAuto — the fast-forward skip is bit-identical where supported, so
   /// only wallclock changes; pin to kEvent to time the event engine itself.
-  redcr::EngineMode engine = redcr::EngineMode::kAuto;
+  runtime::ExecMode engine = runtime::ExecMode::kAuto;
   std::optional<std::string> csv_dir;
   /// --log-level: parsed but not applied by try_parse (parse() applies it,
   /// so the non-exiting variant stays side-effect free for tests).
@@ -51,13 +56,15 @@ struct BenchArgs {
   /// Parses argv; on any error prints a one-line diagnostic plus usage to
   /// stderr and exits with status 2 (--help exits 0). Applies the log
   /// level: --log-level when given, else the REDCR_LOG_LEVEL environment
-  /// variable when set and valid.
-  static BenchArgs parse(int argc, char** argv);
+  /// variable when set and valid. A guarded bench passes its PerfGuard,
+  /// which then also accepts --guard, --tolerance and --repeat.
+  static BenchArgs parse(int argc, char** argv, PerfGuard* guard = nullptr);
 
   /// Non-exiting variant for tests and embedding: returns std::nullopt and
   /// fills `error` (when non-null) on invalid input.
   static std::optional<BenchArgs> try_parse(int argc, char** argv,
-                                            std::string* error);
+                                            std::string* error,
+                                            PerfGuard* guard = nullptr);
 
   /// The parsed execution knobs as the library-wide option block
   /// (--jobs, --progress, --log-level). Export sinks stay empty: bench

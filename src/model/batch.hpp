@@ -35,11 +35,9 @@
 // its output slot range and its own caches, so the merge is the identity
 // and results never depend on scheduling.
 //
-// NOTE (migration): evaluate_batch is the model-layer engine. New code
-// outside src/model/ should go through the stable public facade
-// `redcr::Planner` (include/redcr/planner.hpp), which adds plan caching
-// and observability on top of this API; direct model::evaluate_batch use
-// outside src/model/ is deprecated. See DESIGN.md §12.
+// redcr::Planner (include/redcr/planner.hpp) adds a plan cache and counters
+// on top for repeated scenarios; one-off point sets call this engine
+// directly. See DESIGN.md §12.
 #pragma once
 
 #include <span>

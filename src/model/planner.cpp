@@ -157,19 +157,6 @@ model::Prediction Planner::evaluate(const model::CombinedConfig& config,
   return model::predict(config, r, &sphere_cache_);
 }
 
-std::vector<model::Prediction> Planner::evaluate_batch(
-    std::span<const model::BatchPoint> points,
-    const model::BatchOptions& options) {
-  {
-    std::lock_guard lock(mutex_);
-    ++stats_.evaluations;
-    stats_.points += points.size();
-  }
-  // The batch engine carries its own per-worker caches; no shared state,
-  // so concurrent batches proceed without holding the planner lock.
-  return model::evaluate_batch(points, options);
-}
-
 Planner::Stats Planner::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;

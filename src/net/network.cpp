@@ -2,8 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace redcr::net {
+
+void NetworkParams::validate() const {
+  const auto fail = [](const std::string& what, double value) {
+    throw std::invalid_argument("redcr::net::NetworkParams: " + what +
+                                ", got " + std::to_string(value));
+  };
+  // !(x > 0) also catches NaN.
+  if (!(bandwidth > 0.0)) fail("bandwidth must be > 0 bytes/s", bandwidth);
+  if (!(latency >= 0.0) || !std::isfinite(latency))
+    fail("latency must be finite and >= 0 s", latency);
+  if (!(send_overhead >= 0.0) || !std::isfinite(send_overhead))
+    fail("send_overhead must be finite and >= 0 s", send_overhead);
+}
 
 Network::Network(sim::Engine& engine, std::size_t num_nodes,
                  NetworkParams params)

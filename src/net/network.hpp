@@ -39,6 +39,10 @@ struct NetworkParams {
   util::Seconds send_overhead = 0.5e-6;
   /// If false, NIC serialization is disabled (pure α-β model; ablation).
   bool model_contention = true;
+
+  /// Rejects NaN/non-positive bandwidth and a non-finite or negative
+  /// latency or send overhead with a one-line std::invalid_argument.
+  void validate() const;
 };
 
 /// Cumulative traffic counters.

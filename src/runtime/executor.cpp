@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,6 +45,20 @@ JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
       map_(config_.num_virtual, config_.redundancy),
       factory_(std::move(factory)) {
   if (!factory_) throw std::invalid_argument("JobExecutor: null factory");
+  const auto require = [](bool ok, const std::string& what, double value) {
+    if (!ok)
+      throw std::invalid_argument("JobExecutor: " + what + ", got " +
+                                  std::to_string(value));
+  };
+  require(config_.restart_cost >= 0.0 && std::isfinite(config_.restart_cost),
+          "restart_cost must be finite and >= 0 s", config_.restart_cost);
+  require(config_.image_bytes >= 0.0 && std::isfinite(config_.image_bytes),
+          "image_bytes must be finite and >= 0", config_.image_bytes);
+  require(config_.ckpt_incremental_fraction > 0.0 &&
+              config_.ckpt_incremental_fraction <= 1.0,
+          "ckpt_incremental_fraction must be in (0, 1]",
+          config_.ckpt_incremental_fraction);
+  config_.network.validate();
   config_.fail.validate();
   config_.storage.validate();
   config_.ckpt_faults.validate();

@@ -32,21 +32,10 @@
 #include "obs/journal.hpp"
 #include "obs/recorder.hpp"
 #include "red/red_comm.hpp"
+#include "runtime/exec_mode.hpp"
 #include "runtime/trace.hpp"
 
 namespace redcr::runtime {
-
-/// Which engine advances the job between failures.
-enum class ExecMode {
-  kEvent,        ///< full discrete-event simulation, the reference path
-  kFastForward,  ///< sample deaths from the fault oracle and advance the
-                 ///< inter-failure stretches arithmetically; falls back to
-                 ///< the event engine per episode (and warns when the whole
-                 ///< configuration is unsupported)
-  kAuto,         ///< kFastForward when the configuration supports it,
-                 ///< silently kEvent otherwise (per-event consumers such as
-                 ///< trace/journal sinks force the event engine)
-};
 
 /// Which replication protocol carries the application's traffic.
 enum class Replication {

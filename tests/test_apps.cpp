@@ -86,6 +86,46 @@ TEST(Workloads, SpecValidation) {
   EXPECT_THROW(MasterWorker(MasterWorkerSpec{}, 0, 1), std::invalid_argument);
 }
 
+TEST(Workloads, SpecsRejectNegativeAndNonFiniteQuantities) {
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const double bad : {-1.0, nan, inf}) {
+    SyntheticSpec synthetic;
+    synthetic.compute_per_iteration = bad;
+    EXPECT_THROW(SyntheticWorkload{synthetic}, std::invalid_argument) << bad;
+    synthetic = {};
+    synthetic.halo_bytes = bad;
+    EXPECT_THROW(SyntheticWorkload{synthetic}, std::invalid_argument) << bad;
+    synthetic = {};
+    synthetic.allreduce_bytes = bad;
+    EXPECT_THROW(SyntheticWorkload{synthetic}, std::invalid_argument) << bad;
+    CgSpec cg;
+    cg.compute_per_iteration = bad;
+    EXPECT_THROW(CgSolver(cg, 0, 1), std::invalid_argument) << bad;
+    StencilSpec stencil;
+    stencil.compute_per_iteration = bad;
+    EXPECT_THROW(Stencil3d{stencil}, std::invalid_argument) << bad;
+    stencil = {};
+    stencil.face_bytes = bad;
+    EXPECT_THROW(Stencil3d{stencil}, std::invalid_argument) << bad;
+    SpectralSpec spectral;
+    spectral.compute_per_iteration = bad;
+    EXPECT_THROW(SpectralWorkload{spectral}, std::invalid_argument) << bad;
+    spectral = {};
+    spectral.slab_bytes = bad;
+    EXPECT_THROW(SpectralWorkload{spectral}, std::invalid_argument) << bad;
+    MasterWorkerSpec master;
+    master.base_task_cost = bad;
+    EXPECT_THROW(MasterWorker(master, 0, 2), std::invalid_argument) << bad;
+  }
+  // Zero is a valid quantity: a halo-free, compute-free kernel.
+  SyntheticSpec zero;
+  zero.compute_per_iteration = 0.0;
+  zero.halo_bytes = 0.0;
+  zero.allreduce_bytes = 0.0;
+  EXPECT_NO_THROW(SyntheticWorkload{zero});
+}
+
 TEST(Stencil, GridGeometry) {
   StencilSpec spec;
   spec.grid = {3, 2, 2};

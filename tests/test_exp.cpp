@@ -1,10 +1,12 @@
 // Tests for the experiment harness (src/exp/): grid enumeration, filter
-// parsing, deterministic parallel execution, result rendering, and the
-// bench CLI front end.
+// parsing, deterministic parallel execution, result rendering, the bench
+// CLI front end and the shared perf guard.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -293,6 +295,239 @@ TEST(BenchArgs, RejectsBadFlagsAndCombinations) {
   EXPECT_FALSE(parse_vec({"--filter", "mtbf"}, &error).has_value());
   EXPECT_FALSE(parse_vec({"--help"}, &error).has_value());
   EXPECT_EQ(error, "help");
+}
+
+TEST(BenchArgs, EngineFlagParsesTheExecutorMode) {
+  EXPECT_EQ(parse_vec({})->engine, runtime::ExecMode::kAuto);
+  EXPECT_EQ(parse_vec({"--engine", "event"})->engine,
+            runtime::ExecMode::kEvent);
+  EXPECT_EQ(parse_vec({"--engine", "fastforward"})->run_options().engine,
+            runtime::ExecMode::kFastForward);
+  std::string error;
+  EXPECT_FALSE(parse_vec({"--engine", "fast"}, &error).has_value());
+  EXPECT_NE(error.find("--engine"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- PerfGuard
+
+std::optional<exp::BenchArgs> parse_guarded(std::vector<const char*> argv,
+                                            exp::PerfGuard* guard,
+                                            std::string* error = nullptr) {
+  argv.insert(argv.begin(), "bench_test");
+  return exp::BenchArgs::try_parse(static_cast<int>(argv.size()),
+                                   const_cast<char**>(argv.data()), error,
+                                   guard);
+}
+
+TEST(PerfGuard, ParsesValidGuardFlags) {
+  exp::PerfGuard guard;
+  const auto args = parse_guarded({"--quick", "--guard", "base.json",
+                                   "--tolerance", "0.2", "--repeat", "5"},
+                                  &guard);
+  ASSERT_TRUE(args.has_value());
+  EXPECT_TRUE(args->quick);
+  EXPECT_EQ(guard.baseline_path, "base.json");
+  EXPECT_DOUBLE_EQ(guard.tolerance, 0.2);
+  EXPECT_EQ(guard.repeat, 5);
+
+  exp::PerfGuard defaults;
+  ASSERT_TRUE(parse_guarded({}, &defaults).has_value());
+  EXPECT_TRUE(defaults.baseline_path.empty());
+  EXPECT_DOUBLE_EQ(defaults.tolerance, 0.15);
+  EXPECT_EQ(defaults.repeat, 3);
+
+  exp::PerfGuard edges;
+  ASSERT_TRUE(
+      parse_guarded({"--tolerance", "0", "--repeat", "1"}, &edges).has_value());
+  EXPECT_DOUBLE_EQ(edges.tolerance, 0.0);
+  EXPECT_EQ(edges.repeat, 1);
+}
+
+TEST(PerfGuard, RejectsMalformedGuardValues) {
+  for (const std::vector<const char*>& argv :
+       std::vector<std::vector<const char*>>{{"--tolerance", "x"},
+                                             {"--tolerance", "0.1x"},
+                                             {"--tolerance", ""},
+                                             {"--repeat", "three"},
+                                             {"--repeat", "2.5"},
+                                             {"--tolerance"},
+                                             {"--repeat"},
+                                             {"--guard"}}) {
+    exp::PerfGuard guard;
+    std::string error;
+    EXPECT_FALSE(parse_guarded(argv, &guard, &error).has_value()) << argv[0];
+    EXPECT_NE(error.find(argv[0]), std::string::npos) << error;
+  }
+}
+
+TEST(PerfGuard, RejectsOutOfRangeGuardValues) {
+  // A tolerance >= 1 makes the floor zero or negative, which turns the gate
+  // off; a repeat of zero times nothing.
+  for (const std::vector<const char*>& argv :
+       std::vector<std::vector<const char*>>{{"--tolerance", "1"},
+                                             {"--tolerance", "1.5"},
+                                             {"--tolerance", "-0.1"},
+                                             {"--tolerance", "nan"},
+                                             {"--repeat", "0"},
+                                             {"--repeat", "-2"}}) {
+    exp::PerfGuard guard;
+    std::string error;
+    EXPECT_FALSE(parse_guarded(argv, &guard, &error).has_value())
+        << argv[0] << " " << argv[1];
+    EXPECT_NE(error.find(argv[0]), std::string::npos) << error;
+  }
+}
+
+TEST(PerfGuard, GuardFlagsNeedAGuardedBench) {
+  std::string error;
+  EXPECT_FALSE(parse_vec({"--repeat", "3"}, &error).has_value());
+  EXPECT_NE(error.find("unknown flag"), std::string::npos);
+  EXPECT_FALSE(parse_vec({"--guard", "base.json"}, &error).has_value());
+}
+
+constexpr const char* kBaseline =
+    "{\n  \"scenarios\": [\n"
+    "    {\"name\": \"fast_sim\", \"rate\": 1.000000e+02, \"unit\": "
+    "\"events/sec\"},\n"
+    "    {\"name\": \"zero_sim\", \"rate\": 0.000000e+00},\n"
+    "    {\"name\": \"negative_sim\", \"rate\": -5.0},\n"
+    "    {\"name\": \"garbled_sim\", \"rate\": fast}\n"
+    "  ]\n}\n";
+
+TEST(PerfGuard, BaselineLookup) {
+  ASSERT_TRUE(exp::baseline_rate(kBaseline, "fast_sim").has_value());
+  EXPECT_DOUBLE_EQ(*exp::baseline_rate(kBaseline, "fast_sim"), 100.0);
+  EXPECT_FALSE(exp::baseline_rate(kBaseline, "absent_sim").has_value());
+  // A name is matched whole: "fast" is not "fast_sim".
+  EXPECT_FALSE(exp::baseline_rate(kBaseline, "fast").has_value());
+  EXPECT_FALSE(exp::baseline_rate(kBaseline, "zero_sim").has_value());
+  EXPECT_FALSE(exp::baseline_rate(kBaseline, "negative_sim").has_value());
+  EXPECT_FALSE(exp::baseline_rate(kBaseline, "garbled_sim").has_value());
+  EXPECT_FALSE(exp::baseline_rate("", "fast_sim").has_value());
+}
+
+TEST(PerfGuard, VerdictAtTheFloor) {
+  exp::PerfGuard guard;
+  const double base = 100.0;
+  const double floor = base * (1.0 - guard.tolerance);
+  EXPECT_TRUE(guard.passes(floor, base));
+  EXPECT_TRUE(guard.passes(std::nextafter(floor, 1e300), base));
+  EXPECT_FALSE(guard.passes(std::nextafter(floor, 0.0), base));
+  guard.tolerance = 0.0;
+  EXPECT_TRUE(guard.passes(base, base));
+  EXPECT_FALSE(guard.passes(std::nextafter(base, 0.0), base));
+}
+
+TEST(PerfGuard, BestOfKeepsTheFastestRun) {
+  exp::Measurement m{"sim", "events/sec"};
+  m.keep_fastest(2.0, 10);
+  m.keep_fastest(0.5, 20);
+  m.keep_fastest(1.0, 30);
+  EXPECT_DOUBLE_EQ(m.seconds, 0.5);
+  EXPECT_EQ(m.ops, 20u);
+  EXPECT_DOUBLE_EQ(m.rate(), 40.0);
+
+  exp::PerfGuard guard;
+  guard.repeat = 4;
+  int runs = 0;
+  const exp::Measurement timed =
+      guard.best_of("sim", "events/sec", [&] {
+        ++runs;
+        return std::uint64_t{7};
+      });
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(timed.ops, 7u);
+  EXPECT_LT(timed.seconds, 1e300);
+}
+
+TEST(PerfGuard, CheckPrintsVerdictsAndFailsOnMissingScenarios) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "redcr_guard_baseline.json")
+          .string();
+  std::ofstream(path) << kBaseline;
+  const exp::BenchArgs args = *parse_vec({});
+  exp::PerfGuard guard;
+  exp::Measurement fast{"fast_sim", "events/sec", 90, 1.0};
+  exp::Measurement slow{"fast_sim", "events/sec", 80, 1.0};
+  exp::Measurement absent{"absent_sim", "events/sec", 1, 1.0};
+
+  // Without --guard nothing is compared.
+  EXPECT_TRUE(guard.check(args, "bench_test", {&absent, 1}));
+
+  guard.baseline_path = path;
+  testing::internal::CaptureStdout();
+  EXPECT_TRUE(guard.check(args, "bench_test", {&fast, 1}));
+  EXPECT_FALSE(guard.check(args, "bench_test", {&slow, 1}));
+  const std::string verdicts = testing::internal::GetCapturedStdout();
+  EXPECT_NE(verdicts.find("guard vs " + path + " (tolerance 15%):\n"),
+            std::string::npos);
+  // The name is padded to 17 columns before the colon, the layout
+  // scripts/bench_guard.sh parses.
+  EXPECT_NE(verdicts.find("  fast_sim         :         90 vs baseline "
+                          "       100 -> ok\n"),
+            std::string::npos)
+      << verdicts;
+  EXPECT_NE(verdicts.find("         80 vs baseline        100 -> REGRESSION\n"),
+            std::string::npos)
+      << verdicts;
+
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  absent.guarded = true;
+  const std::vector<exp::Measurement> both = {fast, absent};
+  EXPECT_FALSE(guard.check(args, "bench_test", both));
+  (void)testing::internal::GetCapturedStdout();
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "bench_test: baseline has no rate for 'absent_sim'"),
+            std::string::npos);
+  // Unguarded scenarios are reported but never compared.
+  absent.guarded = false;
+  testing::internal::CaptureStdout();
+  EXPECT_TRUE(guard.check(args, "bench_test", {&absent, 1}));
+  (void)testing::internal::GetCapturedStdout();
+
+  guard.baseline_path = path + ".missing";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(guard.check(args, "bench_test", {&fast, 1}));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "cannot read baseline"),
+            std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(PerfGuard, ReportPrintsTheScenarioRowUnderJson) {
+  const exp::BenchArgs args = *parse_vec({"--json"});
+  exp::Measurement m{"fast_sim", "events/sec", 1000, 0.5};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(exp::PerfGuard{}.report(args, "bench_test", m, "note"));
+  const std::string row = testing::internal::GetCapturedStdout();
+  const std::string text = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(row,
+            "{\"bench\": \"bench_test\", \"name\": \"fast_sim\", \"rate\": "
+            "2.000000e+03, \"unit\": \"events/sec\", \"ops\": 1000, "
+            "\"seconds\": 0.500000}\n");
+  EXPECT_EQ(text, "fast_sim           :       2000 events/sec (note)\n");
+
+  m.speedup = 12.5;
+  m.speedup_label = "speedup_vs_event";
+  EXPECT_NE(m.json_fields().find(", \"speedup_vs_event\": 12.500"),
+            std::string::npos);
+}
+
+TEST(PerfGuard, AbsoluteRulesOnlyFailUnderGuard) {
+  const exp::BenchArgs args = *parse_vec({});
+  exp::Measurement m{"ff_sim", "episodes/sec", 1, 1.0, 8.0, "speedup_vs_event"};
+  exp::PerfGuard guard;
+  EXPECT_TRUE(guard.require(args, m, false, "%.1fx", "must skip"));
+  guard.baseline_path = "base.json";
+  EXPECT_TRUE(guard.require(args, m, true, "%.1fx", "must skip"));
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(guard.require(args, m, false, "%.1fx vs event engine",
+                             "must skip"));
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "  ff_sim           : 8.0x vs event engine -> REGRESSION "
+            "(must skip)\n");
 }
 
 }  // namespace

@@ -361,7 +361,7 @@ TEST(FastForwardCounters, MetricsExportIsGatedOnTheEngine) {
   // the whole config falls back — and the gated counters say so.
   RunOptions auto_opts;
   auto_opts.metrics_out = auto_path;
-  auto_opts.engine = EngineMode::kAuto;
+  auto_opts.engine = runtime::ExecMode::kAuto;
   (void)run_job(flat_config(2, 2.0), factory(), auto_opts);
   const std::string exported = slurp(auto_path);
   EXPECT_NE(exported.find("engine.ff.fallbacks"), std::string::npos);

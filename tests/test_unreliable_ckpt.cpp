@@ -249,6 +249,28 @@ TEST(Validation, StorageParamsRejectBadBandwidthAndLatency) {
   EXPECT_NO_THROW(p.validate());
 }
 
+TEST(Validation, NetworkParamsRejectBadBandwidthLatencyAndOverhead) {
+  net::NetworkParams p;
+  p.bandwidth = 0.0;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = {};
+  p.bandwidth = kNaN;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = {};
+  p.latency = -1e-6;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = {};
+  p.latency = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = {};
+  p.send_overhead = kNaN;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = {};
+  p.latency = 0.0;
+  p.send_overhead = 0.0;
+  EXPECT_NO_THROW(p.validate());
+}
+
 TEST(Validation, ScenarioBuilderRejectsNonFiniteInputs) {
   EXPECT_THROW((void)redcr::scenario().node_mtbf(kNaN).build(),
                std::invalid_argument);
@@ -292,6 +314,42 @@ TEST(Validation, ExecutorRejectsBadFaultConfigUpFront) {
   cfg = {};
   cfg.restart_retry.max_attempts = 0;
   EXPECT_THROW(runtime::JobExecutor(cfg, factory), std::invalid_argument);
+}
+
+TEST(Validation, ExecutorRejectsNegativeAndNonFiniteQuantities) {
+  auto factory = [](int, int) {
+    return std::make_unique<apps::SyntheticWorkload>(apps::SyntheticSpec{});
+  };
+  const auto rejects = [&](const runtime::JobConfig& cfg) {
+    EXPECT_THROW(runtime::JobExecutor(cfg, factory), std::invalid_argument);
+  };
+  runtime::JobConfig cfg;
+  cfg.checkpoint_interval = 60.0;
+  for (const double bad :
+       {-100.0, kNaN, std::numeric_limits<double>::infinity()}) {
+    runtime::JobConfig c = cfg;
+    c.restart_cost = bad;
+    rejects(c);
+    c = cfg;
+    c.image_bytes = bad;
+    rejects(c);
+  }
+  for (const double bad : {0.0, -1.0, 1.5, kNaN}) {
+    runtime::JobConfig c = cfg;
+    c.ckpt_incremental_fraction = bad;
+    rejects(c);
+  }
+  runtime::JobConfig c = cfg;
+  c.network.bandwidth = 0.0;
+  rejects(c);
+  c = cfg;
+  c.network.latency = -1.0;
+  rejects(c);
+  // Zero stays valid: a free restart and an empty image.
+  c = cfg;
+  c.restart_cost = 0.0;
+  c.image_bytes = 0.0;
+  EXPECT_NO_THROW(runtime::JobExecutor(c, factory));
 }
 
 // ---- Fault-schedule stress -------------------------------------------------

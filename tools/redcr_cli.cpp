@@ -13,9 +13,11 @@
 // NDJSON metrics dump of the run.
 //
 // Run with --help (or no arguments) for the full flag list.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -38,6 +40,16 @@ using namespace redcr;
 using util::fmt;
 using util::fmt_count;
 
+/// Strict number parse: the whole of `text` must be one (atof would read
+/// "abc" as 0 and "5x" as 5). Throws std::invalid_argument naming `what`.
+double parse_number(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0')
+    throw std::invalid_argument(what + ": '" + text + "' is not a number");
+  return value;
+}
+
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -58,7 +70,18 @@ class Flags {
 
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return it == values_.end() ? fallback
+                               : parse_number(it->second, "--" + key);
+  }
+  /// --jobs N|auto; "auto", 0 and absence all mean every hardware core
+  /// (the exp::BenchArgs encoding).
+  [[nodiscard]] int jobs() const {
+    if (text("jobs", "auto") == "auto") return 0;
+    const double jobs = number("jobs", 0);
+    if (!(jobs >= 0.0 && jobs <= 1 << 24) || jobs != std::floor(jobs))
+      throw std::invalid_argument("--jobs must be a count or 'auto', got " +
+                                  text("jobs", ""));
+    return static_cast<int>(jobs);
   }
   [[nodiscard]] std::string text(const std::string& key,
                                  const std::string& fallback) const {
@@ -74,13 +97,18 @@ class Flags {
 };
 
 model::CombinedConfig model_config(const Flags& flags) {
+  // Checked before the size_t cast, which is undefined for negative values.
+  const double procs = flags.number("procs", 50000);
+  if (!(procs >= 1.0 && procs <= 1e15))
+    throw std::invalid_argument("--procs must be in [1, 1e15], got " +
+                                flags.text("procs", ""));
   return redcr::scenario()
       .node_mtbf(util::years(flags.number("mtbf-years", 5)))
       .checkpoint_cost(flags.number("ckpt-sec", 600))
       .restart_cost(flags.number("restart-sec", 1800))
       .base_time(util::hours(flags.number("hours", 128)))
       .comm_fraction(flags.number("alpha", 0.2))
-      .processes(static_cast<std::size_t>(flags.number("procs", 50000)))
+      .processes(static_cast<std::size_t>(procs))
       .build();
 }
 
@@ -111,7 +139,13 @@ int cmd_model(const Flags& flags) {
                 100 * interval.daly_penalty);
     return 0;
   }
-  print_prediction(model::predict(cfg, flags.number("r", 2.0)));
+  // predict() only asserts its domain; the simulator's degree range
+  // [1, 8] is the one the CLI accepts.
+  const double r = flags.number("r", 2.0);
+  if (!(r >= 1.0 && r <= 8.0))
+    throw std::invalid_argument("--r must be a degree in [1, 8], got " +
+                                flags.text("r", ""));
+  print_prediction(model::predict(cfg, r));
   return 0;
 }
 
@@ -145,10 +179,10 @@ model::UnreliableCkptParams unreliable_sweep_params(const Flags& flags) {
             "';'-separated level, got '" +
             part + "'");
       model::UnreliableCkptParams::LevelRecovery level;
-      level.recovery_prob = std::atof(fields[0].c_str());
-      level.fetch_cost = std::atof(fields[1].c_str());
+      level.recovery_prob = parse_number(fields[0], "--ml-levels");
+      level.fetch_cost = parse_number(fields[1], "--ml-levels");
       if (fields.size() == 3)
-        level.staleness_periods = std::atof(fields[2].c_str());
+        level.staleness_periods = parse_number(fields[2], "--ml-levels");
       u.levels.push_back(level);
     }
   }
@@ -162,30 +196,63 @@ model::UnreliableCkptParams unreliable_sweep_params(const Flags& flags) {
   return u;
 }
 
-// The hierarchy-aware sweep (predict_unreliable per cell). Separate from the
-// legacy path so the default sweep's schema and bytes never move.
-int cmd_sweep_unreliable(const Flags& flags, const model::CombinedConfig& cfg,
-                         exp::BenchArgs& args,
-                         const std::vector<exp::Trial>& trials) {
-  model::UnreliableCkptParams u;
-  try {
-    u = unreliable_sweep_params(flags);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "redcr_cli sweep: %s\n", e.what());
-    return 2;
+int cmd_sweep(const Flags& flags) {
+  const model::CombinedConfig cfg = model_config(flags);
+  const double step = flags.number("step", 0.25);
+  // Bounded like serve's r_step, so a tiny step cannot allocate without end.
+  if (!(step > 0.0) || !std::isfinite(step) || 2.0 / step > 1e6)
+    throw std::invalid_argument("--step must be > 0 and give at most 1e6 "
+                                "degrees over [1, 3]");
+
+  // The sweep is the one campaign-shaped command: route it through the
+  // experiment harness so it gets --jobs/--json/--filter/--csv for free.
+  exp::BenchArgs args;
+  args.jobs = flags.jobs();
+  args.json = flags.flag("json");
+  args.filter = flags.text("filter", "");
+  args.keep_going = flags.flag("keep-going");
+  if (flags.flag("csv")) {
+    // Like BenchArgs: create DIR up front, or reject it before the sweep.
+    const std::string dir = flags.text("csv", "");
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (!std::filesystem::is_directory(dir, ec))
+      throw std::invalid_argument("--csv: cannot create directory '" + dir +
+                                  "'");
+    args.csv_dir = dir;
   }
-  std::vector<exp::Column> columns = {{"r"},
-                                      {"T_total [h]", "total_h"},
-                                      {"Theta_sys [h]", "theta_sys_h"},
-                                      {"delta [min]", "delta_min"},
-                                      {"E[failures]", "expected_failures"},
-                                      {"P(recover)", "recovery_prob"},
-                                      {"fail cost [min]", "per_failure_min"},
-                                      {"flush [h]", "flush_h"},
-                                      {"P(abort)", "abort_prob"}};
+
+  exp::ParamGrid grid;
+  grid.axis("r", exp::ParamGrid::range(1.0, 3.0, step));
+  const std::vector<exp::Trial> trials = grid.trials(args.filter);
+
+  // Every cell is evaluated once through predict_unreliable, whose `base` is
+  // exactly predict() and whose defaults (p_v = s = 1, no levels, no flush)
+  // add nothing. The hierarchy/flush knobs only switch the printed schema
+  // to the unreliable-C/R columns; without them the legacy columns (and
+  // bytes) stay as they were. Under --keep-going the schema grows a status
+  // column and a failing cell becomes a row instead of ending the sweep.
+  const bool unreliable = flags.flag("ml-levels") ||
+                          flags.flag("flush-cost") ||
+                          flags.flag("async-flush");
+  const model::UnreliableCkptParams u = unreliable
+                                            ? unreliable_sweep_params(flags)
+                                            : model::UnreliableCkptParams{};
+  std::vector<exp::Column> columns = {{"r"}, {"T_total [h]", "total_h"}};
+  if (!unreliable) columns.push_back({"nodes"});
+  columns.insert(columns.end(), {{"Theta_sys [h]", "theta_sys_h"},
+                                 {"delta [min]", "delta_min"},
+                                 {"E[failures]", "expected_failures"}});
+  if (unreliable)
+    columns.insert(columns.end(), {{"P(recover)", "recovery_prob"},
+                                   {"fail cost [min]", "per_failure_min"},
+                                   {"flush [h]", "flush_h"},
+                                   {"P(abort)", "abort_prob"}});
   if (args.keep_going) columns.push_back({"status"});
-  exp::ResultSink t("sweep_unreliable", columns);
-  t.set_title("Redundancy sweep (unreliable C/R + storage hierarchy)");
+  exp::ResultSink t(unreliable ? "sweep_unreliable" : "sweep", columns);
+  t.set_title(unreliable
+                  ? "Redundancy sweep (unreliable C/R + storage hierarchy)"
+                  : "Redundancy sweep");
   const exp::SweepRunner runner(args.run_options());
   const auto outcomes =
       runner.map_outcomes(trials, [&](const exp::Trial& trial) {
@@ -196,32 +263,39 @@ int cmd_sweep_unreliable(const Flags& flags, const model::CombinedConfig& cfg,
   bool any_ok = false;
   std::size_t failed_cells = 0;
   for (std::size_t i = 0; i < trials.size(); ++i) {
+    const double r = trials[i].at("r");
     if (!outcomes[i].ok()) {
       if (!args.keep_going) {
-        std::fprintf(stderr, "redcr_cli sweep: r=%.2f: %s\n",
-                     trials[i].at("r"), outcomes[i].error.c_str());
+        std::fprintf(stderr, "redcr_cli sweep: r=%.2f: %s\n", r,
+                     outcomes[i].error.c_str());
         return 1;
       }
       ++failed_cells;
-      t.add_row({{trials[i].at("r"), 2}, "-", "-", "-", "-", "-", "-", "-",
-                 "-", "failed: " + outcomes[i].error});
+      std::vector<exp::Cell> row(columns.size() - 1, exp::Cell("-"));
+      row.front() = {r, 2};
+      row.emplace_back("failed: " + outcomes[i].error);
+      t.add_row(std::move(row));
       continue;
     }
     const model::UnreliablePrediction& p = outcomes[i].value;
-    std::vector<exp::Cell> row = {{trials[i].at("r"), 2},
-                                  {util::to_hours(p.total_time), 1},
-                                  {util::to_hours(p.base.system_mtbf), 1},
-                                  {util::to_minutes(p.base.interval), 1},
-                                  {p.base.expected_failures, 1},
-                                  {p.recovery_probability, 4},
-                                  {util::to_minutes(p.per_failure_overhead), 1},
-                                  {util::to_hours(p.flush_overhead_total), 2},
-                                  {p.abort_probability, 4}};
+    const model::Prediction& b = p.base;
+    const double total = unreliable ? p.total_time : b.total_time;
+    std::vector<exp::Cell> row = {{r, 2}, {util::to_hours(total), 1}};
+    if (!unreliable)
+      row.push_back(exp::Cell::count(static_cast<long long>(b.total_procs)));
+    row.insert(row.end(), {{util::to_hours(b.system_mtbf), 1},
+                           {util::to_minutes(b.interval), 1},
+                           {b.expected_failures, 1}});
+    if (unreliable)
+      row.insert(row.end(), {{p.recovery_probability, 4},
+                             {util::to_minutes(p.per_failure_overhead), 1},
+                             {util::to_hours(p.flush_overhead_total), 2},
+                             {p.abort_probability, 4}});
     if (args.keep_going) row.emplace_back("ok");
     t.add_row(std::move(row));
-    if (!any_ok || p.total_time < best_t) {
-      best_t = p.total_time;
-      best_r = trials[i].at("r");
+    if (!any_ok || total < best_t) {
+      best_t = total;
+      best_r = r;
       best_row = i;
       any_ok = true;
     }
@@ -231,121 +305,10 @@ int cmd_sweep_unreliable(const Flags& flags, const model::CombinedConfig& cfg,
   if (failed_cells > 0)
     args.say("%zu of %zu cells failed (kept going)\n", failed_cells,
              trials.size());
-  if (any_ok) args.say("best degree: %.2fx\n", best_r);
-  return 0;
-}
-
-int cmd_sweep(const Flags& flags) {
-  const model::CombinedConfig cfg = model_config(flags);
-  const double step = flags.number("step", 0.25);
-
-  // The sweep is the one campaign-shaped command: route it through the
-  // experiment harness so it gets --jobs/--json/--filter/--csv for free.
-  exp::BenchArgs args;
-  args.jobs = static_cast<int>(flags.number("jobs", 0));
-  args.json = flags.flag("json");
-  args.filter = flags.text("filter", "");
-  args.csv_dir = flags.text("csv", "");
-  args.keep_going = flags.flag("keep-going");
-
-  exp::ParamGrid grid;
-  grid.axis("r", exp::ParamGrid::range(1.0, 3.0, step));
-  std::vector<exp::Trial> trials;
-  try {
-    trials = grid.trials(args.filter);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "redcr_cli sweep: %s\n", e.what());
-    return 2;
+  if (unreliable) {
+    if (any_ok) args.say("best degree: %.2fx\n", best_r);
+    return 0;
   }
-
-  // The hierarchy/flush knobs switch the sweep to the unreliable-C/R model;
-  // without them the legacy sweep below stays byte-identical.
-  if (flags.flag("ml-levels") || flags.flag("flush-cost") ||
-      flags.flag("async-flush"))
-    return cmd_sweep_unreliable(flags, cfg, args, trials);
-
-  std::vector<exp::Column> columns = {{"r"},
-                                      {"T_total [h]", "total_h"},
-                                      {"nodes"},
-                                      {"Theta_sys [h]", "theta_sys_h"},
-                                      {"delta [min]", "delta_min"},
-                                      {"E[failures]", "expected_failures"}};
-  // Under --keep-going the schema grows a status column; the default schema
-  // stays byte-identical to the historical output.
-  if (args.keep_going) columns.push_back({"status"});
-  exp::ResultSink t("sweep", columns);
-  t.set_title("Redundancy sweep");
-  double best_r = 1.0, best_t = 1e300;
-  std::size_t best_row = 0;
-  bool any_ok = false;
-  std::size_t failed_cells = 0;
-
-  if (args.keep_going) {
-    // Per-cell evaluation so one bad point (e.g. a degree the model rejects)
-    // becomes a failed row instead of killing the sweep. predict() is
-    // bitwise-identical per cell to the memoized batch path below.
-    const exp::SweepRunner runner(args.run_options());
-    const auto outcomes =
-        runner.map_outcomes(trials, [&](const exp::Trial& trial) {
-          return model::predict(cfg, trial.at("r"));
-        });
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (!outcomes[i].ok()) {
-        ++failed_cells;
-        t.add_row({{trials[i].at("r"), 2}, "-", "-", "-", "-", "-",
-                   "failed: " + outcomes[i].error});
-        continue;
-      }
-      const model::Prediction& p = outcomes[i].value;
-      t.add_row({{trials[i].at("r"), 2},
-                 {util::to_hours(p.total_time), 1},
-                 exp::Cell::count(static_cast<long long>(p.total_procs)),
-                 {util::to_hours(p.system_mtbf), 1},
-                 {util::to_minutes(p.interval), 1},
-                 {p.expected_failures, 1},
-                 "ok"});
-      if (!any_ok || p.total_time < best_t) {
-        best_t = p.total_time;
-        best_r = trials[i].at("r");
-        best_row = i;
-        any_ok = true;
-      }
-    }
-  } else {
-    // The whole sweep shares one config, so it is exactly the sweep-shaped
-    // query redcr::Planner answers: the Eq. 9 sphere terms are memoized
-    // across degrees and the points run on the worker pool. The default
-    // EvalMode::kExact keeps every cell bitwise-identical to predict(), so
-    // routing through the facade moved no bytes.
-    Planner planner(/*plan_cache_capacity=*/1);
-    PlanRequest request;
-    request.config = cfg;
-    request.degrees.reserve(trials.size());
-    for (const exp::Trial& trial : trials)
-      request.degrees.push_back(trial.at("r"));
-    const PlanResponse plan = planner.plan(request, args.run_options().jobs);
-    const std::vector<model::Prediction>& preds = plan.sweep();
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      const model::Prediction& p = preds[i];
-      t.add_row({{trials[i].at("r"), 2},
-                 {util::to_hours(p.total_time), 1},
-                 exp::Cell::count(static_cast<long long>(p.total_procs)),
-                 {util::to_hours(p.system_mtbf), 1},
-                 {util::to_minutes(p.interval), 1},
-                 {p.expected_failures, 1}});
-      if (p.total_time < best_t) {
-        best_t = p.total_time;
-        best_r = trials[i].at("r");
-        best_row = i;
-      }
-    }
-    any_ok = !trials.empty();
-  }
-  if (any_ok) t.emphasize_row(best_row, 1);
-  t.emit(args);
-  if (failed_cells > 0)
-    args.say("%zu of %zu cells failed (kept going)\n", failed_cells,
-             trials.size());
   if (!args.keep_going || any_ok)
     args.say("best degree: %.2fx\n\n", best_r);
 
@@ -494,8 +457,8 @@ int cmd_simulate(const Flags& flags) {
   // event otherwise (a --trace-out/--journal-out sink always falls back:
   // the arithmetic skip produces no per-event output to record).
   const std::string engine_name = flags.text("engine", "auto");
-  const std::optional<redcr::EngineMode> engine_mode =
-      redcr::parse_engine_mode(engine_name);
+  const std::optional<runtime::ExecMode> engine_mode =
+      runtime::parse_engine(engine_name);
   if (!engine_mode) {
     std::fprintf(stderr,
                  "redcr_cli: invalid --engine '%s' (expected "
@@ -504,11 +467,11 @@ int cmd_simulate(const Flags& flags) {
     return 2;
   }
   options.engine = *engine_mode;
+  runtime::WorkloadFactory workload =
+      make_workload(flags.text("workload", "synthetic"), flags);
   runtime::JobReport report;
   try {
-    report = redcr::run_job(
-        cfg, make_workload(flags.text("workload", "synthetic"), flags),
-        options);
+    report = redcr::run_job(cfg, std::move(workload), options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "redcr_cli: %s\n", e.what());
     return 1;
@@ -695,9 +658,7 @@ int cmd_serve(const Flags& flags) {
     return 2;
   }
   apps::ServeOptions options;
-  // "--jobs auto" (and absence) mean hardware concurrency, matching
-  // exp::BenchArgs; atof's 0 on "auto" is exactly the 0 = auto encoding.
-  options.jobs = static_cast<int>(flags.number("jobs", 0));
+  options.jobs = flags.jobs();
   options.cache_capacity =
       static_cast<std::size_t>(flags.number("cache", 256));
   const std::string mode = flags.text("mode", "fast");
@@ -850,11 +811,18 @@ int main(int argc, char** argv) {
     }
     util::set_log_level(*level);
   }
-  if (command == "model") return cmd_model(flags);
-  if (command == "sweep") return cmd_sweep(flags);
-  if (command == "run" || command == "simulate") return cmd_simulate(flags);
-  if (command == "analyze") return cmd_analyze(flags);
-  if (command == "serve") return cmd_serve(flags);
+  // An invalid_argument that escapes a command is bad input: a flag that is
+  // not a number, or a value the model or harness rejects.
+  try {
+    if (command == "model") return cmd_model(flags);
+    if (command == "sweep") return cmd_sweep(flags);
+    if (command == "run" || command == "simulate") return cmd_simulate(flags);
+    if (command == "analyze") return cmd_analyze(flags);
+    if (command == "serve") return cmd_serve(flags);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "redcr_cli %s: %s\n", command.c_str(), e.what());
+    return 2;
+  }
   usage();
   return command == "--help" || command == "help" ? 0 : 2;
 }
