@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
-# Sanitizer gate: builds the tree with AddressSanitizer + UBSan enabled and
-# runs the fast `smoke`-labelled test suites under it. Intended as the
-# pre-merge check; a plain build stays untouched in ./build.
+# Sanitizer gate: builds the tree twice — with AddressSanitizer + UBSan, and
+# with ThreadSanitizer — and runs the fast `smoke`-labelled test suites
+# under each. The TSan cell covers the code that really runs threads, such
+# as exp::SweepRunner's parallel DES cells (each worker thread with its own
+# util::BlockPool lists) and the Planner cache. Intended as the pre-merge
+# check; a plain build stays untouched in ./build.
 #
-# Usage: scripts/check.sh [build-dir]   (default: build-san)
+# Usage: scripts/check.sh [asan-build-dir] [tsan-build-dir]
+#        (defaults: build-san, build-tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-san}"
+TSAN_BUILD_DIR="${2:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$BUILD_DIR" -S . \
@@ -19,4 +24,15 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
 
-echo "check.sh: sanitizer smoke suite passed"
+echo "check.sh: ASan+UBSan smoke suite passed"
+
+cmake -B "$TSAN_BUILD_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DREDCR_SANITIZE=thread
+cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
+
+# No suppressions: any reported race fails the gate.
+TSAN_OPTIONS="halt_on_error=1" \
+  ctest --test-dir "$TSAN_BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
+
+echo "check.sh: TSan smoke suite passed"

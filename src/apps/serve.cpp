@@ -64,6 +64,10 @@ PlanRequest to_plan(const Request& q, std::size_t lineno,
   if (!(q.r_min >= 1.0) || !(q.r_max >= q.r_min) || !std::isfinite(q.r_max))
     bad("need 1 <= r_min <= r_max (finite)");
   if ((q.r_max - q.r_min) / q.r_step > 1e6) bad("redundancy grid too large");
+  // Checked before the size_t cast below, which is undefined for negative,
+  // NaN and huge values; the range is `redcr_cli model --procs`'s.
+  if (!(q.procs >= 1.0 && q.procs <= 1e15))
+    bad("procs must be finite and in [1, 1e15]");
 
   PlanRequest plan;
   try {

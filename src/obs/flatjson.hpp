@@ -90,12 +90,39 @@ class FlatLineParser {
     return out;
   }
 
+  /// Reads one JSON number: an optional '-', an integer part without
+  /// leading zeros, an optional fraction and an optional exponent. Bare
+  /// strtod would also take nan, inf, hex and a leading '+' or '.'; those,
+  /// and a number running straight into more number-like bytes ("01",
+  /// "0x10", "1.5.2"), fail with "expected a number".
   double parse_number() {
-    const char* begin = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    std::size_t end = pos_;
+    const auto digits = [&] {  // one or more
+      if (!is_digit(at(end))) fail("expected a number");
+      while (is_digit(at(end))) ++end;
+    };
+    if (at(end) == '-') ++end;
+    if (at(end) == '0') {
+      ++end;
+    } else {
+      digits();
+    }
+    if (at(end) == '.') {
+      ++end;
+      digits();
+    }
+    if (at(end) == 'e' || at(end) == 'E') {
+      ++end;
+      if (at(end) == '+' || at(end) == '-') ++end;
+      digits();
+    }
+    const char next = at(end);
+    if (is_digit(next) || next == '.' || next == '+' || next == '-' ||
+        (next >= 'a' && next <= 'z') || (next >= 'A' && next <= 'Z'))
+      fail("expected a number");
+    // The JSON grammar is a subset of strtod's, so strtod stops at `end`.
+    const double v = std::strtod(s_.c_str() + pos_, nullptr);
+    pos_ = end;
     return v;
   }
 
@@ -105,7 +132,11 @@ class FlatLineParser {
   }
 
  private:
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
+  [[nodiscard]] char peek() const { return at(pos_); }
+  [[nodiscard]] char at(std::size_t i) const {
+    return i < s_.size() ? s_[i] : '\0';
+  }
+  static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
 
   void skip_ws() {
     while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;

@@ -26,7 +26,7 @@ PullComm::PullComm(simmpi::World& world, const ReplicaMap& map,
 Request PullComm::isend(Rank dst, int tag, Payload payload) {
   if (dst < 0 || dst >= size())
     throw std::out_of_range("PullComm::isend: virtual rank out of range");
-  auto parent = std::make_shared<simmpi::RequestState>();
+  auto parent = simmpi::make_request();
   if (dead(endpoint_->rank())) {
     parent->aborted = true;
     complete_request(*parent, engine());
@@ -64,7 +64,7 @@ Request PullComm::irecv(Rank src, int tag) {
         "(a puller must know which sphere to ask)");
   if (src < 0 || src >= size())
     throw std::out_of_range("PullComm::irecv: virtual rank out of range");
-  auto parent = std::make_shared<simmpi::RequestState>();
+  auto parent = simmpi::make_request();
   const std::uint64_t seq = recv_cursor_[stream_key(src, tag)]++;
   engine().spawn(drive_pull(src, tag, seq, parent));
   return parent;

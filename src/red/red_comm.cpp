@@ -1,9 +1,9 @@
 #include "red/red_comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -58,7 +58,7 @@ Request RedComm::isend(Rank dst, int tag, Payload payload) {
         sdc_->on_send(endpoint_->rank(), std::move(payload), engine().now());
   }
 
-  auto parent = std::make_shared<simmpi::RequestState>();
+  Request parent = simmpi::make_request();
   // A dead process sends nothing (live failure semantics); completing the
   // request keeps its (doomed) coroutine from wedging mid-send.
   if (dead(endpoint_->rank())) {
@@ -72,10 +72,11 @@ Request RedComm::isend(Rank dst, int tag, Payload payload) {
   // The full/hash pairing is computed over the *live* replica sets so a
   // msg-plus-hash receiver whose designated full-sender died still gets a
   // full copy from a surviving one.
-  std::vector<Rank> live_dst;
+  std::array<Rank, ReplicaMap::kMaxDegree> live_dst{};
+  unsigned live_dst_degree = 0;
   for (const Rank q : dst_replicas)
-    if (!dead(q)) live_dst.push_back(q);
-  if (live_dst.empty()) {
+    if (!dead(q)) live_dst[live_dst_degree++] = q;
+  if (live_dst_degree == 0) {
     // Destination sphere is gone; the job is about to fail anyway.
     parent->aborted = true;
     complete_request(*parent, engine());
@@ -88,8 +89,9 @@ Request RedComm::isend(Rank dst, int tag, Payload payload) {
     ++my_live_degree;
   }
 
-  auto remaining = std::make_shared<std::size_t>(live_dst.size());
-  for (unsigned j = 0; j < live_dst.size(); ++j) {
+  fan_outs_.push_back(FanOut{parent, live_dst_degree});
+  const auto it = std::prev(fan_outs_.end());
+  for (unsigned j = 0; j < live_dst_degree; ++j) {
     Payload copy = payload;
     if (sdc_ != nullptr) {
       copy = sdc_->on_copy(endpoint_->rank(), ordinal, static_cast<int>(j),
@@ -106,15 +108,19 @@ Request RedComm::isend(Rank dst, int tag, Payload payload) {
       if (copy.tainted()) hp = hp.corrupted(copy.strain());
       sub = endpoint_->isend(live_dst[j], kHashTagOffset + tag, std::move(hp));
     }
-    simmpi::attach_completion(sub, [this, remaining, parent] {
-      if (--*remaining == 0) complete_request(*parent, engine());
-    });
+    simmpi::attach_completion(sub, [this, it] { count_sent(it); });
   }
   return parent;
 }
 
+void RedComm::count_sent(FanOutList::iterator it) {
+  if (--it->remaining != 0) return;
+  complete_request(*it->parent, engine());
+  fan_outs_.erase(it);
+}
+
 Request RedComm::irecv(Rank src, int tag) {
-  auto parent = std::make_shared<simmpi::RequestState>();
+  Request parent = simmpi::make_request();
   if (src == kAnySource) {
     // Paper Section 3: wildcard receives need the three-step envelope
     // protocol so all replicas of this sphere agree on the virtual sender.
@@ -130,15 +136,15 @@ Request RedComm::irecv(Rank src, int tag) {
 void RedComm::post_copy_set(Rank src_virtual, int tag, Request parent) {
   // Only expect copies from replicas that are still alive; the pairing of
   // full vs hash copies is over the live set, mirroring isend.
-  std::vector<Rank> live_src;
+  std::array<Rank, ReplicaMap::kMaxDegree> live_src{};
+  unsigned src_degree = 0;
   for (const Rank q : map_->replicas(src_virtual))
-    if (!dead(q)) live_src.push_back(q);
-  if (live_src.empty()) {
+    if (!dead(q)) live_src[src_degree++] = q;
+  if (src_degree == 0) {
     parent->aborted = true;
     complete_request(*parent, engine());
     return;
   }
-  const auto src_degree = static_cast<unsigned>(live_src.size());
 
   // My pairing slot is my position among my sphere's live replicas — the
   // same view the senders use when choosing full vs hash targets.
@@ -149,32 +155,34 @@ void RedComm::post_copy_set(Rank src_virtual, int tag, Request parent) {
     ++live_seen;
   }
 
-  std::vector<Request> subs;
-  subs.reserve(src_degree);
-  for (unsigned i = 0; i < src_degree; ++i) {
-    const bool full = sends_full(i, my_live_index, src_degree, config_->mode);
-    subs.push_back(endpoint_->irecv(live_src[i],
-                                    full ? tag : kHashTagOffset + tag));
-  }
-
   // The comm owns the copy-set; the hooks hold only an iterator. (Having
-  // each hook own the sub vector would make sub → hook → subs a shared_ptr
-  // cycle that leaks every copy-set still in flight at episode teardown.)
+  // each hook own the subs would make sub → hook → subs a shared_ptr cycle
+  // that leaks every copy-set still in flight at episode teardown.)
   copy_sets_.emplace_back();
   const auto it = std::prev(copy_sets_.end());
-  it->subs = std::move(subs);
+  CopySet& set = *it;
+  set.src_virtual = src_virtual;
+  set.tag = tag;
+  set.parent = std::move(parent);
+  set.num_subs = src_degree;
+  for (unsigned i = 0; i < src_degree; ++i) {
+    const bool full = sends_full(i, my_live_index, src_degree, config_->mode);
+    set.subs[i] =
+        endpoint_->irecv(live_src[i], full ? tag : kHashTagOffset + tag);
+  }
   // +1 guard: a sub that is already complete runs its hook inside
   // attach_completion, and the set must not finish (and erase itself) while
   // this frame still iterates it.
-  it->remaining = it->subs.size() + 1;
-  auto maybe_finish = [this, it, src_virtual, tag, parent] {
-    if (--it->remaining == 0) {
-      finish_copy_set(it->subs, src_virtual, tag, parent);
-      copy_sets_.erase(it);
-    }
-  };
-  for (auto& sub : it->subs) simmpi::attach_completion(sub, maybe_finish);
-  maybe_finish();  // releases the guard
+  set.remaining = src_degree + 1;
+  for (unsigned i = 0; i < src_degree; ++i)
+    simmpi::attach_completion(set.subs[i], [this, it] { count_arrived(it); });
+  count_arrived(it);  // releases the guard
+}
+
+void RedComm::count_arrived(CopySetList::iterator it) {
+  if (--it->remaining != 0) return;
+  finish_copy_set(*it);
+  copy_sets_.erase(it);
 }
 
 sim::Task RedComm::drive_wildcard(int tag, Request parent) {
@@ -238,7 +246,11 @@ sim::Task RedComm::drive_wildcard(int tag, Request parent) {
       Message copy = co_await wait(sub);
       if (!sub->aborted) copies.push_back(std::move(copy));
     }
-    finalize(src_virtual, tag, std::move(copies), parent);
+    std::array<const Message*, ReplicaMap::kMaxDegree> views{};
+    for (std::size_t i = 0; i < copies.size(); ++i) views[i] = &copies[i];
+    finalize(src_virtual, tag,
+             std::span<const Message* const>(views.data(), copies.size()),
+             parent);
   } else {
     // Step 3 (sibling side): learn the envelope from the leader, then post
     // specific receives exactly like a non-wildcard receive.
@@ -249,23 +261,25 @@ sim::Task RedComm::drive_wildcard(int tag, Request parent) {
   }
 }
 
-void RedComm::finish_copy_set(const std::vector<Request>& subs,
-                              Rank src_virtual, int tag, Request parent) {
-  std::vector<Message> copies;
-  copies.reserve(subs.size());
-  for (const auto& sub : subs) {
-    assert(sub->complete);
-    if (sub->aborted) continue;  // peer died before sending this copy
-    copies.push_back(sub->message);
+void RedComm::finish_copy_set(const CopySet& set) {
+  std::array<const Message*, ReplicaMap::kMaxDegree> copies{};
+  std::size_t num_copies = 0;
+  for (unsigned i = 0; i < set.num_subs; ++i) {
+    const simmpi::RequestState& sub = *set.subs[i];
+    assert(sub.complete);
+    if (sub.aborted) continue;  // peer died before sending this copy
+    copies[num_copies++] = &sub.message;
   }
-  if (copies.empty()) {
+  if (num_copies == 0) {
     // Every copy aborted: the sender sphere died mid-exchange. The job is
     // failing; complete the parent as aborted so nothing blocks teardown.
-    parent->aborted = true;
-    complete_request(*parent, engine());
+    set.parent->aborted = true;
+    complete_request(*set.parent, engine());
     return;
   }
-  finalize(src_virtual, tag, std::move(copies), parent);
+  finalize(set.src_virtual, set.tag,
+           std::span<const Message* const>(copies.data(), num_copies),
+           set.parent);
 }
 
 void RedComm::set_recorder(obs::Recorder* recorder) {
@@ -282,55 +296,80 @@ void RedComm::set_recorder(obs::Recorder* recorder) {
       &recorder->metrics().counter("red.mismatches_corrected");
 }
 
-void RedComm::finalize(Rank src_virtual, int tag, std::vector<Message> copies,
-                       Request parent) {
-  assert(!copies.empty());
-  // Partition into full copies and hash-only copies by tag band.
-  std::vector<const Message*> fulls;
-  std::vector<std::uint64_t> hashes;
-  for (const Message& copy : copies) {
+void RedComm::finalize(Rank src_virtual, int tag,
+                       std::span<const Message* const> copies,
+                       const Request& parent) {
+  assert(!copies.empty() && copies.size() <= ReplicaMap::kMaxDegree);
+  // Partition into full copies and hash-only copies by tag band; every
+  // copy contributes one hash.
+  std::array<const Message*, ReplicaMap::kMaxDegree> fulls{};
+  std::array<std::uint64_t, ReplicaMap::kMaxDegree> hashes{};
+  std::size_t num_fulls = 0;
+  const std::size_t num_hashes = copies.size();
+  for (std::size_t i = 0; i < num_hashes; ++i) {
+    const Message& copy = *copies[i];
     if (copy.envelope.tag >= kHashTagOffset &&
         copy.envelope.tag < kEnvelopeTagOffset) {
-      hashes.push_back(decode_hash(copy.payload));
+      hashes[i] = decode_hash(copy.payload);
     } else {
-      fulls.push_back(&copy);
-      hashes.push_back(copy.payload.hash());
+      fulls[num_fulls++] = &copy;
+      hashes[i] = copy.payload.hash();
     }
   }
-  assert(!fulls.empty() && "every copy-set carries at least one full copy");
+  assert(num_fulls > 0 && "every copy-set carries at least one full copy");
 
-  const Message* chosen = fulls.front();
+  const Message* chosen = fulls[0];
   bool mismatch = false;
   bool corrected = false;
-  if (config_->vote && hashes.size() > 1) {
+  if (config_->vote && num_hashes > 1) {
     ++stats_.messages_compared;
     if (compared_counter_ != nullptr) compared_counter_->add();
     if (compared_log_ != nullptr) compared_log_->push_back(engine().now());
-    std::map<std::uint64_t, unsigned> counts;
-    for (const std::uint64_t h : hashes) ++counts[h];
-    if (counts.size() > 1) {
+    // Distinct hashes and their counts, kept in ascending hash order so
+    // max_element picks the same first majority an ordered map walk would.
+    struct Tally {
+      std::uint64_t hash = 0;
+      unsigned count = 0;
+    };
+    std::array<Tally, ReplicaMap::kMaxDegree> tallies{};
+    std::size_t num_distinct = 0;
+    for (std::size_t i = 0; i < num_hashes; ++i) {
+      Tally* const end = tallies.data() + num_distinct;
+      Tally* const pos = std::lower_bound(
+          tallies.data(), end, hashes[i],
+          [](const Tally& t, std::uint64_t h) { return t.hash < h; });
+      if (pos != end && pos->hash == hashes[i]) {
+        ++pos->count;
+        continue;
+      }
+      std::move_backward(pos, end, end + 1);
+      *pos = Tally{hashes[i], 1};
+      ++num_distinct;
+    }
+    if (num_distinct > 1) {
       mismatch = true;
       ++stats_.mismatches_detected;
       if (detected_counter_ != nullptr) detected_counter_->add();
       // Majority vote: adopt a full copy carrying the majority content, if
       // both a strict majority and such a copy exist (paper: triple
       // redundancy can vote out the corrupt message).
-      const auto majority = std::max_element(
-          counts.begin(), counts.end(),
-          [](const auto& a, const auto& b) { return a.second < b.second; });
-      if (majority->second * 2 > hashes.size()) {
-        const auto it = std::find_if(
-            fulls.begin(), fulls.end(), [&](const Message* m) {
-              return m->payload.hash() == majority->first;
+      const Tally* const majority = std::max_element(
+          tallies.data(), tallies.data() + num_distinct,
+          [](const Tally& a, const Tally& b) { return a.count < b.count; });
+      if (majority->count * 2 > num_hashes) {
+        const auto fulls_end = fulls.begin() + num_fulls;
+        const auto it =
+            std::find_if(fulls.begin(), fulls_end, [&](const Message* m) {
+              return m->payload.hash() == majority->hash;
             });
-        if (it != fulls.end()) {
+        if (it != fulls_end) {
           chosen = *it;
           corrected = true;
           ++stats_.mismatches_corrected;
           if (corrected_counter_ != nullptr) corrected_counter_->add();
           REDCR_LOG_WARN << "red: replica mismatch outvoted (virtual rank "
                          << virtual_rank_ << " <- " << src_virtual << ", tag "
-                         << tag << ", " << hashes.size() << " copies)";
+                         << tag << ", " << num_hashes << " copies)";
         }
       }
     }
@@ -343,9 +382,9 @@ void RedComm::finalize(Rank src_virtual, int tag, std::vector<Message> copies,
 
   if (sdc_ != nullptr) {
     std::uint64_t seen = 0;
-    for (const Message& copy : copies) {
-      if (copy.payload.strain() != 0) {
-        seen = copy.payload.strain();
+    for (const Message* copy : copies) {
+      if (copy->payload.strain() != 0) {
+        seen = copy->payload.strain();
         break;
       }
     }
@@ -356,7 +395,7 @@ void RedComm::finalize(Rank src_virtual, int tag, std::vector<Message> copies,
       delivery.sender_virtual = src_virtual;
       delivery.chosen_strain = chosen->payload.strain();
       delivery.seen_strain = seen;
-      delivery.copies = hashes.size();
+      delivery.copies = num_hashes;
       delivery.mismatch = mismatch;
       delivery.corrected = corrected;
       delivery.now = engine().now();

@@ -20,16 +20,19 @@
 // everyone then posts specific receives for the remaining copies.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
+#include <span>
 
 #include "obs/recorder.hpp"
 #include "red/replica_map.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/world.hpp"
 #include "util/flat_map.hpp"
+#include "util/pool.hpp"
 
 namespace redcr::red {
 
@@ -185,6 +188,32 @@ class RedComm final : public simmpi::Comm {
     return sender_idx == receiver_idx % sender_degree;
   }
 
+  /// One in-flight fan-out send: the countdown of physical copies not yet
+  /// handed to the network, and the application request they complete.
+  struct FanOut {
+    simmpi::Request parent;
+    std::size_t remaining = 0;
+  };
+  /// One in-flight copy-set: the physical sub-receives, the completion
+  /// countdown, and the virtual envelope and application request they
+  /// complete after comparison/voting.
+  struct CopySet {
+    std::array<simmpi::Request, ReplicaMap::kMaxDegree> subs{};
+    unsigned num_subs = 0;
+    std::size_t remaining = 0;
+    Rank src_virtual = 0;
+    int tag = 0;
+    simmpi::Request parent;
+  };
+  // Both are owned by the RedComm, in lists with stable iterators, and not
+  // by the sub-requests' completion hooks: a set still pending at episode
+  // teardown is freed with the comm instead of leaking through a hook ⇄
+  // sub-request ref cycle. Each hook captures only [this, iterator] — 16
+  // bytes, inside std::function's inline buffer, so attaching one does not
+  // allocate.
+  using FanOutList = std::list<FanOut, util::PoolAllocator<FanOut>>;
+  using CopySetList = std::list<CopySet, util::PoolAllocator<CopySet>>;
+
   /// Posts the physical receives for one copy-set from sphere `src_virtual`
   /// and wires them to complete `parent` after comparison/voting.
   void post_copy_set(Rank src_virtual, int tag, simmpi::Request parent);
@@ -192,24 +221,23 @@ class RedComm final : public simmpi::Comm {
   /// Driver for the wildcard three-step protocol (runs as a spawned task).
   sim::Task drive_wildcard(int tag, simmpi::Request parent);
 
+  /// Counts one physical send of a fan-out down; the last completes the
+  /// parent and frees the fan-out.
+  void count_sent(FanOutList::iterator it);
+
+  /// Counts one sub-receive (or the posting guard) of a copy-set down; the
+  /// last votes, completes the parent and frees the copy-set.
+  void count_arrived(CopySetList::iterator it);
+
   /// Compares/votes the collected copies and surfaces the result.
-  void finish_copy_set(const std::vector<simmpi::Request>& subs,
-                       Rank src_virtual, int tag, simmpi::Request parent);
+  void finish_copy_set(const CopySet& set);
 
   /// Votes over the copies (full payloads + hash copies), fills the parent's
   /// message with the chosen payload under the *virtual* envelope, and
-  /// completes it.
-  void finalize(Rank src_virtual, int tag, std::vector<simmpi::Message> copies,
-                simmpi::Request parent);
-
-  /// One in-flight copy-set: the physical sub-receives plus the completion
-  /// countdown. Owned by the RedComm (not by the sub-requests' completion
-  /// hooks) so a copy-set still pending at episode teardown is freed with
-  /// the comm instead of leaking through a hook ⇄ sub-request ref cycle.
-  struct CopySet {
-    std::vector<simmpi::Request> subs;
-    std::size_t remaining = 0;
-  };
+  /// completes it. `copies` holds at most ReplicaMap::kMaxDegree entries.
+  void finalize(Rank src_virtual, int tag,
+                std::span<const simmpi::Message* const> copies,
+                const simmpi::Request& parent);
 
   simmpi::World* world_;
   const ReplicaMap* map_;
@@ -236,8 +264,9 @@ class RedComm final : public simmpi::Comm {
   /// has posted its remaining-copy receives — otherwise instance k+1 could
   /// steal a duplicate copy of instance k's message (see drive_wildcard).
   util::FlatMap64<std::shared_ptr<sim::OneShotEvent>> wildcard_turn_;  // by tag
-  /// In-flight copy-sets (stable iterators; erased as each one finishes).
-  std::list<CopySet> copy_sets_;
+  /// In-flight fan-out sends and copy-sets (erased as each one finishes).
+  FanOutList fan_outs_;
+  CopySetList copy_sets_;
 };
 
 }  // namespace redcr::red

@@ -15,7 +15,7 @@ std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 ReplicaMap::ReplicaMap(std::size_t num_virtual, double r) : degree_(r) {
   if (num_virtual == 0)
     throw std::invalid_argument("ReplicaMap: need at least one process");
-  if (!(r >= 1.0) || !(r <= 8.0))
+  if (!(r >= 1.0) || !(r <= kMaxDegree))
     throw std::invalid_argument("ReplicaMap: degree must be in [1, 8]");
 
   // Delegate the set sizes to the model's partition (Eqs. 5-8) so the

@@ -24,7 +24,12 @@ using simmpi::Rank;
 
 class ReplicaMap {
  public:
-  /// Builds the map for `num_virtual` processes at degree `r` in [1, 8].
+  /// Degree ceiling: no sphere holds more replicas than this. It sizes the
+  /// redundancy layer's fixed per-message arrays (red_comm.cpp).
+  static constexpr unsigned kMaxDegree = 8;
+
+  /// Builds the map for `num_virtual` processes at degree `r` in
+  /// [1, kMaxDegree].
   ReplicaMap(std::size_t num_virtual, double r);
 
   [[nodiscard]] std::size_t num_virtual() const noexcept {

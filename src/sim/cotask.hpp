@@ -18,6 +18,8 @@
 #include <optional>
 #include <utility>
 
+#include "util/pool.hpp"
+
 namespace redcr::sim {
 
 namespace detail {
@@ -41,6 +43,15 @@ struct CoTaskPromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   SymmetricFinalAwaiter final_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { error = std::current_exception(); }
+
+  // Frames recycle through the per-thread block pool: a CoTask (a blocking
+  // wait, a send, a collective) is created per message-level operation.
+  static void* operator new(std::size_t bytes) {
+    return util::BlockPool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    util::BlockPool::deallocate(frame, bytes);
+  }
 };
 
 }  // namespace detail

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "util/pool.hpp"
 
 namespace redcr::sim {
 
@@ -49,6 +50,15 @@ class Task {
     void return_void() noexcept {}
     void unhandled_exception() noexcept {
       if (engine != nullptr) engine->note_exception(std::current_exception());
+    }
+
+    // Frames recycle through the per-thread block pool: processes are
+    // spawned per wildcard receive and per pull, not only per rank.
+    static void* operator new(std::size_t bytes) {
+      return util::BlockPool::allocate(bytes);
+    }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      util::BlockPool::deallocate(frame, bytes);
     }
   };
 
@@ -108,7 +118,9 @@ class DelayAwaiter {
 
 /// One-shot latched event: processes awaiting it suspend until trigger();
 /// awaiting an already-triggered event completes immediately. Used for
-/// message-completion notification (one event per request).
+/// message-completion notification (one event per request), where there is
+/// almost always exactly one waiter: it is kept inline, and only further
+/// waiters spill to a vector.
 class OneShotEvent {
  public:
   OneShotEvent() = default;
@@ -117,14 +129,15 @@ class OneShotEvent {
 
   [[nodiscard]] bool triggered() const noexcept { return triggered_; }
 
-  /// Latches the event and schedules every waiter to resume "now".
-  /// Triggering twice is a no-op.
+  /// Latches the event and schedules every waiter to resume "now", in the
+  /// order they started waiting. Triggering twice is a no-op.
   void trigger(Engine& engine) {
     if (triggered_) return;
     triggered_ = true;
-    for (auto h : waiters_)
-      engine.schedule_after(0.0, [eng = &engine, h] { eng->resume_coroutine(h); });
-    waiters_.clear();
+    if (!first_waiter_) return;
+    wake(engine, std::exchange(first_waiter_, {}));
+    for (auto h : more_waiters_) wake(engine, h);
+    more_waiters_.clear();
   }
 
   class Awaiter {
@@ -132,7 +145,10 @@ class OneShotEvent {
     explicit Awaiter(OneShotEvent& event) noexcept : event_(event) {}
     bool await_ready() const noexcept { return event_.triggered_; }
     void await_suspend(std::coroutine_handle<> h) {
-      event_.waiters_.push_back(h);
+      if (!event_.first_waiter_)
+        event_.first_waiter_ = h;
+      else
+        event_.more_waiters_.push_back(h);
     }
     void await_resume() const noexcept {}
 
@@ -144,8 +160,14 @@ class OneShotEvent {
 
  private:
   friend class Awaiter;
+
+  static void wake(Engine& engine, std::coroutine_handle<> h) {
+    engine.schedule_after(0.0, [eng = &engine, h] { eng->resume_coroutine(h); });
+  }
+
   bool triggered_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_waiter_;
+  std::vector<std::coroutine_handle<>> more_waiters_;  // in await order
 };
 
 /// Reusable broadcast signal: trigger() wakes all *current* waiters; later

@@ -11,6 +11,7 @@
 
 #include "sim/cotask.hpp"
 #include "sim/task.hpp"
+#include "util/pool.hpp"
 #include "util/units.hpp"
 
 namespace redcr::simmpi {
@@ -140,6 +141,13 @@ struct RequestState {
 };
 
 using Request = std::shared_ptr<RequestState>;
+
+/// A fresh request. Its state and control block come from the per-thread
+/// block pool: requests are created and dropped once or more per message.
+inline Request make_request() {
+  return std::allocate_shared<RequestState>(
+      util::PoolAllocator<RequestState>{});
+}
 
 /// Canonical completion path: sets the flag, wakes waiters, runs the hook.
 inline void complete_request(RequestState& request, sim::Engine& engine) {

@@ -60,7 +60,7 @@ Request Endpoint::isend(Rank dst, int tag, Payload payload) {
 Request Endpoint::irecv(Rank src, int tag) {
   if (src != kAnySource && (src < 0 || src >= world_->size()))
     throw std::out_of_range("irecv: source rank out of range");
-  auto request = std::make_shared<RequestState>();
+  auto request = make_request();
   const PostedRecv posted{src, tag, request};
 
   // MPI semantics: first try the unexpected queue in arrival order.
@@ -175,7 +175,7 @@ Request World::inject(Rank src, Rank dst, int tag, Payload payload) {
   // busy time (eager protocol). The busy time is one network-wide constant,
   // so completions fire in issue order and the FIFO supplies the request —
   // the closure needs no captured state beyond `this`.
-  auto send_request = std::make_shared<RequestState>();
+  auto send_request = make_request();
   pending_sends_.push_back(send_request);
   engine_->schedule_after(network_->send_busy_time(),
                           [this] { complete_next_send(); });

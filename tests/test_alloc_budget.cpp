@@ -1,0 +1,94 @@
+// Allocation budget of the simulator's hot path. Coroutine frames, request
+// states and the redundancy layer's fan-out and copy-set bookkeeping come
+// from util::BlockPool, and every completion hook fits std::function's
+// inline buffer, so a whole JobExecutor::run() calls the global operator
+// new far less than once per engine event. A new per-message heap
+// allocation anywhere on the path shows up here as one call per event or
+// more.
+//
+// This binary replaces the global operator new/delete with counting
+// forwards to malloc/free, which is why it is a test target of its own.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "apps/synthetic.hpp"
+#include "runtime/executor.hpp"
+#include "util/units.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_operator_new_calls{0};
+
+void* counted_new(std::size_t bytes) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t bytes) { return counted_new(bytes); }
+void* operator new[](std::size_t bytes) { return counted_new(bytes); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace redcr::runtime {
+namespace {
+
+/// `redcr_cli run --virtual 16 --redundancy 1.5 --iterations 20
+/// --mtbf-hours 1 --seed 7`: the CG-shaped synthetic workload with the
+/// CLI's machine defaults, on the event engine, with seeded failures.
+JobConfig cg_shaped_job() {
+  JobConfig cfg;
+  cfg.num_virtual = 16;
+  cfg.redundancy = 1.5;
+  cfg.network.bandwidth = 100e6;
+  cfg.storage.bandwidth = 2e9;
+  cfg.image_bytes = 1e9;
+  cfg.restart_cost = 500;
+  cfg.checkpoint_interval = 300;
+  cfg.fail.node_mtbf = util::hours(1);
+  cfg.fail.seed = 7;
+  return cfg;
+}
+
+WorkloadFactory cg_shaped_workload() {
+  apps::SyntheticSpec spec;
+  spec.iterations = 20;
+  spec.compute_per_iteration = 24.0;
+  spec.halo_bytes = 300e6;
+  return [spec](int, int) {
+    return std::make_unique<apps::SyntheticWorkload>(spec);
+  };
+}
+
+TEST(AllocBudget, JobRunStaysOffTheHeap) {
+  // Warm-up: fills this thread's pool lists and any lazily built statics.
+  JobConfig warm = cg_shaped_job();
+  warm.inject_failures = false;
+  (void)JobExecutor(warm, cg_shaped_workload()).run();
+
+  JobExecutor executor(cg_shaped_job(), cg_shaped_workload());
+  const std::uint64_t before = g_operator_new_calls.load();
+  const JobReport report = executor.run();
+  const std::uint64_t calls = g_operator_new_calls.load() - before;
+
+  ASSERT_TRUE(report.completed);
+  ASSERT_GT(report.physical_failures, 0) << "the job must exercise failures";
+  ASSERT_GT(report.engine_events, 0u);
+  const double per_event = static_cast<double>(calls) /
+                           static_cast<double>(report.engine_events);
+  EXPECT_LT(per_event, 0.5)
+      << calls << " operator new calls for " << report.engine_events
+      << " engine events";
+}
+
+}  // namespace
+}  // namespace redcr::runtime

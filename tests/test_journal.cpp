@@ -24,6 +24,7 @@
 #include "apps/synthetic.hpp"
 #include "ckpt/hierarchy.hpp"
 #include "exp/runner.hpp"
+#include "obs/flatjson.hpp"
 #include "obs/obs.hpp"
 #include "runtime/executor.hpp"
 #include "util/units.hpp"
@@ -170,6 +171,39 @@ TEST(Journal, ParserRejectsGarbage) {
       "{\"id\":1,\"t\":0,\"type\":\"job-begin\",\"future_key\":42}\n");
   ASSERT_EQ(ok.size(), 1u);
   EXPECT_EQ(ok[0].type, "job-begin");
+}
+
+TEST(FlatLineParser, AcceptsOnlyJsonNumbers) {
+  const auto number = [](const std::string& text) {
+    const std::string line = "{\"v\":" + text + "}";
+    double value = 0.0;
+    obs::FlatLineParser parser(line, 3, "test");
+    parser.parse_object([&](const std::string&) {
+      value = parser.parse_number();
+    });
+    return value;
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_EQ(number("-0"), 0.0);
+  EXPECT_EQ(number("42"), 42.0);
+  EXPECT_EQ(number("-5"), -5.0);
+  EXPECT_EQ(number("0.25"), 0.25);
+  EXPECT_EQ(number("1e3"), 1000.0);
+  EXPECT_EQ(number("2.5E-1"), 0.25);
+  EXPECT_EQ(number("1.0000000000000002e+20"), 1.0000000000000002e+20);
+  EXPECT_EQ(number(" 7 "), 7.0);
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity",
+                          "Infinity", "0x10", "0X1p3", "+1", ".5", "5.",
+                          "01", "-", "1e", "1e+", "1.5.2", "2x", "null",
+                          "\"1\""}) {
+    try {
+      (void)number(bad);
+      ADD_FAILURE() << bad << " parsed as a number";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "test parse error at line 3: expected a number")
+          << bad;
+    }
+  }
 }
 
 // ---- Null gating ------------------------------------------------------------

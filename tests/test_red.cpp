@@ -282,6 +282,65 @@ TEST(RedComm, DualRedundancyDetectsButCannotCorrect) {
   EXPECT_EQ(corrected, 0u) << "1-vs-1 has no majority";
 }
 
+TEST(RedComm, VoteAtTheDegreeCeilingOutvotesOneCorruptReplica) {
+  // r = 8 (ReplicaMap::kMaxDegree) fills every fixed-size voting array:
+  // each receiver compares 8 copies, 7 of which agree.
+  RedConfig cfg;
+  cfg.mode = Mode::kAllToAll;
+  RedHarness h(2, static_cast<double>(ReplicaMap::kMaxDegree), cfg);
+  ASSERT_EQ(h.map.degree(0), ReplicaMap::kMaxDegree);
+  h.sphere(0)[5]->set_corruption_hook([](Payload p) {
+    std::vector<double> bad(p.values().begin(), p.values().end());
+    bad[0] += 1.0;
+    return Payload::of(std::move(bad));
+  });
+  for (RedComm* sender : h.sphere(0))
+    h.engine.spawn(red_send(*sender, 1, 3, 4.25));
+  std::vector<Message> got;
+  for (RedComm* recv : h.sphere(1)) h.engine.spawn(red_recv(*recv, 0, 3, got));
+  h.engine.run();
+  ASSERT_EQ(got.size(), ReplicaMap::kMaxDegree);
+  std::uint64_t compared = 0, detected = 0, corrected = 0;
+  for (RedComm* recv : h.sphere(1)) {
+    compared += recv->stats().messages_compared;
+    detected += recv->stats().mismatches_detected;
+    corrected += recv->stats().mismatches_corrected;
+  }
+  EXPECT_EQ(compared, ReplicaMap::kMaxDegree);
+  EXPECT_EQ(detected, ReplicaMap::kMaxDegree);
+  EXPECT_EQ(corrected, ReplicaMap::kMaxDegree) << "7 of 8 is a majority";
+  for (const auto& m : got) EXPECT_DOUBLE_EQ(m.payload.values()[0], 4.25);
+}
+
+TEST(RedComm, EvenSplitIsDetectedButNotCorrected) {
+  // r = 4 with two replicas corrupted identically: two distinct contents,
+  // two copies each. No strict majority, so every receiver detects the
+  // divergence and none corrects it.
+  RedConfig cfg;
+  cfg.mode = Mode::kAllToAll;
+  RedHarness h(2, 4.0, cfg);
+  for (const unsigned i : {2u, 3u}) {
+    h.sphere(0)[i]->set_corruption_hook([](Payload p) {
+      std::vector<double> bad(p.values().begin(), p.values().end());
+      bad[0] = -1.0;
+      return Payload::of(std::move(bad));
+    });
+  }
+  for (RedComm* sender : h.sphere(0))
+    h.engine.spawn(red_send(*sender, 1, 3, 7.5));
+  std::vector<Message> got;
+  for (RedComm* recv : h.sphere(1)) h.engine.spawn(red_recv(*recv, 0, 3, got));
+  h.engine.run();
+  ASSERT_EQ(got.size(), 4u);
+  std::uint64_t detected = 0, corrected = 0;
+  for (RedComm* recv : h.sphere(1)) {
+    detected += recv->stats().mismatches_detected;
+    corrected += recv->stats().mismatches_corrected;
+  }
+  EXPECT_EQ(detected, 4u);
+  EXPECT_EQ(corrected, 0u) << "2-vs-2 has no strict majority";
+}
+
 TEST(RedComm, MsgPlusHashDeliversFullPayloadOnce) {
   RedConfig cfg;
   cfg.mode = Mode::kMsgPlusHash;

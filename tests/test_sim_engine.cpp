@@ -132,6 +132,25 @@ TEST(Task, OneShotEventWakesAllWaiters) {
   EXPECT_EQ(log, (std::vector<double>{7.0, 7.0}));
 }
 
+Task numbered_waiter(OneShotEvent& event, int id, std::vector<int>& order) {
+  co_await event.wait();
+  order.push_back(id);
+}
+
+TEST(Task, OneShotEventWakesWaitersInAwaitOrder) {
+  // The first waiter is held inline and later ones spill to a vector; all
+  // of them still wake in the order they started waiting.
+  Engine engine;
+  OneShotEvent event;
+  std::vector<int> order;
+  for (int id = 0; id < 5; ++id)
+    engine.spawn(numbered_waiter(event, id, order));
+  engine.spawn(triggerer(engine, event));
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(engine.now(), 7.0);
+}
+
 TEST(Task, AwaitingTriggeredEventCompletesImmediately) {
   Engine engine;
   OneShotEvent event;

@@ -1,16 +1,23 @@
 // Tests for the utility layer: RNG determinism and distributional
-// correctness, statistics, table rendering, CSV escaping, unit helpers.
+// correctness, statistics, table rendering, CSV escaping, unit helpers, the
+// per-thread block pool.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <list>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -306,6 +313,82 @@ TEST(Csv, RoundTripsAwkwardFields) {
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(parse_csv(text), rows);
   std::filesystem::remove(path);
+}
+
+// --- BlockPool -----------------------------------------------------------------
+
+TEST(BlockPool, FreedBlockIsReusedForItsSizeClass) {
+  void* block = BlockPool::allocate(100);
+  BlockPool::deallocate(block, 100);
+  // 100 and 120 bytes round up to the same 128-byte class.
+  void* again = BlockPool::allocate(120);
+  EXPECT_EQ(again, block);
+  BlockPool::deallocate(again, 120);
+}
+
+TEST(BlockPool, SizeClassesNeverAlias) {
+  constexpr std::size_t kClasses = BlockPool::kClasses;
+  const auto bytes = [](std::size_t c) { return (c + 1) * BlockPool::kGranule; };
+  std::array<void*, kClasses> first{};
+  for (std::size_t c = 0; c < kClasses; ++c)
+    first[c] = BlockPool::allocate(bytes(c));
+  for (std::size_t c = 0; c < kClasses; ++c)
+    BlockPool::deallocate(first[c], bytes(c));
+  // Every class has a cached block now; each allocation still gets its own
+  // class's block, and a full-size write into each disturbs no other.
+  std::array<void*, kClasses> again{};
+  for (std::size_t c = kClasses; c-- > 0;) {
+    again[c] = BlockPool::allocate(bytes(c));
+    EXPECT_EQ(again[c], first[c]) << "class " << c;
+    std::memset(again[c], static_cast<int>(c + 1), bytes(c));
+  }
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const auto* p = static_cast<const unsigned char*>(again[c]);
+    for (std::size_t i = 0; i < bytes(c); ++i)
+      ASSERT_EQ(p[i], c + 1) << "class " << c << " byte " << i;
+    BlockPool::deallocate(again[c], bytes(c));
+  }
+}
+
+TEST(BlockPool, LargeRequestsBypassTheLists) {
+  const std::size_t large = BlockPool::kMaxBlock + 1;
+  void* big = BlockPool::allocate(large);
+  const std::size_t cached = BlockPool::cached_blocks();
+  BlockPool::deallocate(big, large);
+  EXPECT_EQ(BlockPool::cached_blocks(), cached);
+  void* small = BlockPool::allocate(BlockPool::kMaxBlock);
+  const std::size_t without = BlockPool::cached_blocks();
+  BlockPool::deallocate(small, BlockPool::kMaxBlock);
+  EXPECT_EQ(BlockPool::cached_blocks(), without + 1);
+}
+
+TEST(BlockPool, BlockFreedOnAnotherThreadIsReusedThere) {
+  void* block = BlockPool::allocate(64);
+  void* reused = nullptr;
+  std::size_t cached_after_free = 0;
+  std::thread other([&] {
+    BlockPool::deallocate(block, 64);
+    cached_after_free = BlockPool::cached_blocks();
+    reused = BlockPool::allocate(64);
+    BlockPool::deallocate(reused, 64);
+  });  // thread exit returns the other thread's lists to the heap
+  other.join();
+  EXPECT_EQ(cached_after_free, 1u);
+  EXPECT_EQ(reused, block);
+}
+
+TEST(BlockPool, AllocatorRecyclesSharedStateAndListNodes) {
+  using State = std::array<double, 6>;
+  auto first = std::allocate_shared<State>(PoolAllocator<State>{});
+  const void* const address = first.get();
+  first.reset();
+  const auto second = std::allocate_shared<State>(PoolAllocator<State>{});
+  EXPECT_EQ(second.get(), address);
+
+  std::list<int, PoolAllocator<int>> nodes{1, 2, 3};
+  nodes.pop_front();
+  nodes.push_back(4);
+  EXPECT_EQ(nodes, (std::list<int, PoolAllocator<int>>{2, 3, 4}));
 }
 
 }  // namespace

@@ -659,8 +659,14 @@ int cmd_serve(const Flags& flags) {
   }
   apps::ServeOptions options;
   options.jobs = flags.jobs();
-  options.cache_capacity =
-      static_cast<std::size_t>(flags.number("cache", 256));
+  // Checked before the size_t cast, which is undefined for negative, NaN
+  // and huge values. 0 means an unbounded cache (no eviction).
+  const double cache = flags.number("cache", 256);
+  if (!(cache >= 0.0 && cache <= 1e15) || cache != std::floor(cache))
+    throw std::invalid_argument(
+        "--cache must be a whole number in [0, 1e15] (0 = no eviction), "
+        "got " + flags.text("cache", ""));
+  options.cache_capacity = static_cast<std::size_t>(cache);
   const std::string mode = flags.text("mode", "fast");
   if (mode == "exact") {
     options.mode = model::EvalMode::kExact;
@@ -726,10 +732,11 @@ void usage() {
       "defaults) through the plan-cached redcr::Planner and prints one\n"
       "NDJSON response per request on stdout — best_r, total_hours, nodes,\n"
       "interval_min, system_mtbf_hours, expected_failures, from_cache —\n"
-      "deterministic bytes at any --jobs level. The qps/latency report and\n"
-      "planner.* metrics land on stderr. --mode exact answers bitwise-\n"
-      "identically to scalar predict(); fast (default) uses the vectorized\n"
-      "kernels. '-' reads stdin.\n\n"
+      "deterministic bytes at any --jobs level. --cache N bounds the plan\n"
+      "cache at N entries (default 256; 0 = no eviction). The qps/latency\n"
+      "report and planner.* metrics land on stderr. --mode exact answers\n"
+      "bitwise-identically to scalar predict(); fast (default) uses the\n"
+      "vectorized kernels. '-' reads stdin.\n\n"
       "Journal analysis: `run --journal-out FILE` records every causally\n"
       "meaningful event (failures, per-level checkpoint commits, flush\n"
       "launches/losses, restarts, restores, rework, aborts) as NDJSON, each\n"
