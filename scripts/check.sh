@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds the tree twice — with AddressSanitizer + UBSan, and
 # with ThreadSanitizer — and runs the fast `smoke`-labelled test suites
-# under each. The TSan cell covers the code that really runs threads, such
-# as exp::SweepRunner's parallel DES cells (each worker thread with its own
+# under each. The ASan+UBSan cell configures RelWithDebInfo without its
+# -DNDEBUG, so it is also the one build in which the `assert`s in src/ run.
+# The TSan cell covers the code that really runs threads, such as
+# exp::SweepRunner's parallel DES cells (each worker thread with its own
 # util::BlockPool lists) and the Planner cache. Intended as the pre-merge
 # check; a plain build stays untouched in ./build.
 #
@@ -17,6 +19,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   -DREDCR_SANITIZE="address;undefined"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 

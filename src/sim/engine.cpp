@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -17,8 +19,13 @@ Engine::~Engine() {
   // Drop pending callbacks first: they may capture coroutine handles that we
   // are about to destroy.
   for (Bucket& bucket : buckets_)
-    for (EventNode* node = bucket.head; node != nullptr; node = node->next)
-      node->callback = nullptr;
+    for (EventNode* head = bucket.head; head != nullptr; head = head->next) {
+      EventNode* node = head;
+      do {
+        node->callback = nullptr;
+        node = node->tie_next;
+      } while (node != head);
+    }
   for (void* frame : handles_)
     std::coroutine_handle<>::from_address(frame).destroy();
 }
@@ -65,69 +72,117 @@ void Engine::release_node(EventNode* node) noexcept {
 }
 
 void Engine::bucket_insert(EventNode* node) noexcept {
-  Bucket& bucket = buckets_[global_slot(node->time) & bucket_mask_];
+  const Time t = node->time;
+  Bucket& bucket = buckets_[global_slot(t) & bucket_mask_];
   node->linked = true;
-  if (bucket.tail == nullptr) {
-    node->prev = nullptr;
-    node->next = nullptr;
-    bucket.head = bucket.tail = node;
-    return;
-  }
+  // Find the group of time t, or the head to open a new group before.
   // Fast path: the common schedule patterns (same-time bursts, increasing
-  // timers) append at the tail.
-  if (!orders_before(*node, *bucket.tail)) {
-    node->prev = bucket.tail;
-    node->next = nullptr;
-    bucket.tail->next = node;
-    bucket.tail = node;
+  // timers) land on or after the tail.
+  EventNode* group = bucket.tail;
+  if (group == nullptr || t > group->time) {
+    group = nullptr;
+  } else if (t != group->time) {
+    // Walk the heads from the bucket head. Every pending time is >= now(),
+    // so now()'s group, if any, heads now()'s bucket: a zero-delay event
+    // stops at the first head.
+    group = bucket.head;
+    while (group->time < t) group = group->next;  // the tail bounds the walk
+  }
+  if (group != nullptr && group->time == t) {
+    // Join the back of the ring: the newest event fires last among its ties.
+    assert(group->head && node->prev == nullptr && node->next == nullptr);
+    EventNode* const newest = group->tie_prev;
+    node->head = false;
+    node->tie_prev = newest;
+    node->tie_next = group;
+    newest->tie_next = node;
+    group->tie_prev = node;
     return;
   }
-  // Otherwise scan from the head; near-now events sit near the front even
-  // when the bucket also holds far-future years.
-  EventNode* cur = bucket.head;
-  while (orders_before(*cur, *node)) cur = cur->next;  // tail check bounds it
-  node->next = cur;
-  node->prev = cur->prev;
-  if (cur->prev != nullptr)
-    cur->prev->next = node;
+  node->head = true;
+  node->tie_prev = node->tie_next = node;
+  link_head(bucket, node, group);
+  ++group_count_;
+}
+
+void Engine::link_head(Bucket& bucket, EventNode* head,
+                       EventNode* before) noexcept {
+  EventNode* const after = before != nullptr ? before->prev : bucket.tail;
+  // A bucket list holds heads only, in strictly increasing time.
+  assert(head->head && (before == nullptr || before->head));
+  assert(after == nullptr || after->time < head->time);
+  assert(before == nullptr || head->time < before->time);
+  head->prev = after;
+  head->next = before;
+  if (after != nullptr)
+    after->next = head;
   else
-    bucket.head = node;
-  cur->prev = node;
+    bucket.head = head;
+  if (before != nullptr)
+    before->prev = head;
+  else
+    bucket.tail = head;
 }
 
 void Engine::bucket_unlink(EventNode* node) noexcept {
+  node->linked = false;
+  EventNode* const heir = node->tie_next;
+  heir->tie_prev = node->tie_prev;
+  node->tie_prev->tie_next = heir;
+  if (!node->head) {
+    assert(node->prev == nullptr && node->next == nullptr);
+    return;  // a follower is in no bucket list
+  }
   Bucket& bucket = buckets_[global_slot(node->time) & bucket_mask_];
-  if (node->prev != nullptr)
-    node->prev->next = node->next;
-  else
-    bucket.head = node->next;
-  if (node->next != nullptr)
-    node->next->prev = node->prev;
-  else
-    bucket.tail = node->prev;
+  if (heir != node) {
+    // A head hands its bucket-list place to the next ring member.
+    assert(!heir->head && heir->prev == nullptr && heir->next == nullptr);
+    assert(heir->time == node->time);
+    heir->head = true;
+    heir->prev = node->prev;
+    heir->next = node->next;
+    if (heir->prev != nullptr)
+      heir->prev->next = heir;
+    else
+      bucket.head = heir;
+    if (heir->next != nullptr)
+      heir->next->prev = heir;
+    else
+      bucket.tail = heir;
+  } else {
+    // A sole member takes its group out of the bucket.
+    if (node->prev != nullptr)
+      node->prev->next = node->next;
+    else
+      bucket.head = node->next;
+    if (node->next != nullptr)
+      node->next->prev = node->prev;
+    else
+      bucket.tail = node->prev;
+    --group_count_;
+  }
   node->prev = nullptr;
   node->next = nullptr;
-  node->linked = false;
 }
 
 Engine::EventNode* Engine::find_min() noexcept {
   if (pending_count_ == 0) return nullptr;
   // Every pending event has time >= now(), hence a global slot >= now()'s,
   // so scanning the ring upward from now() meets each event exactly at its
-  // own slot; the first hit is the (time, seq) minimum. (Events of the same
-  // timestamp share a slot and their bucket list is sorted, so the bucket
-  // head settles ties.)
+  // own slot; the first hit's bucket head is the earliest group, and the
+  // head of a group is its earliest-scheduled event.
   std::uint64_t slot = global_slot(now_);
   for (std::size_t i = 0; i < num_buckets_; ++i, ++slot) {
     EventNode* head = buckets_[slot & bucket_mask_].head;
     if (head != nullptr && global_slot(head->time) <= slot) return head;
   }
   // Nothing due within one full ring revolution of now(): the next event is
-  // more than buckets*width away. Direct min search over the bucket heads.
+  // more than buckets*width away. Direct min search over the bucket heads
+  // (a timestamp is one group in one bucket, so head times are distinct).
   EventNode* best = nullptr;
   for (const Bucket& bucket : buckets_) {
     EventNode* head = bucket.head;
-    if (head != nullptr && (best == nullptr || orders_before(*head, *best)))
+    if (head != nullptr && (best == nullptr || head->time < best->time))
       best = head;
   }
   return best;
@@ -135,20 +190,21 @@ Engine::EventNode* Engine::find_min() noexcept {
 
 void Engine::rebuild(std::size_t new_buckets) {
   rebuild_scratch_.clear();
-  rebuild_scratch_.reserve(pending_count_);
+  rebuild_scratch_.reserve(group_count_);
   for (Bucket& bucket : buckets_)
-    for (EventNode* node = bucket.head; node != nullptr; node = node->next)
-      rebuild_scratch_.push_back(node);
+    for (EventNode* head = bucket.head; head != nullptr; head = head->next)
+      rebuild_scratch_.push_back(head);
+  // Group heads have distinct times, so this order is unique.
   std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(),
             [](const EventNode* a, const EventNode* b) {
-              return orders_before(*a, *b);
+              return a->time < b->time;
             });
 
   num_buckets_ = new_buckets;
   bucket_mask_ = new_buckets - 1;
   buckets_.assign(new_buckets, Bucket{});
 
-  // Width estimate: about two slots per pending event across the pending
+  // Width estimate: about two slots per pending timestamp across the pending
   // span, clamped so bucket arithmetic stays representable at the current
   // time magnitude. Derived from the queue contents only — deterministic.
   double width = 1.0;
@@ -156,8 +212,8 @@ void Engine::rebuild(std::size_t new_buckets) {
       std::isfinite(rebuild_scratch_.front()->time)) {
     const double lo = rebuild_scratch_.front()->time;
     double hi = lo;
-    for (const EventNode* node : rebuild_scratch_)
-      if (std::isfinite(node->time)) hi = node->time;  // sorted: last finite
+    for (const EventNode* head : rebuild_scratch_)
+      if (std::isfinite(head->time)) hi = head->time;  // sorted: last finite
     const double span = hi - lo;
     if (span > 0.0)
       width = 2.0 * span / static_cast<double>(rebuild_scratch_.size());
@@ -165,32 +221,39 @@ void Engine::rebuild(std::size_t new_buckets) {
   }
   width_ = width;
 
-  // Scratch is sorted, so every insert takes the O(1) tail fast path.
-  for (EventNode* node : rebuild_scratch_) bucket_insert(node);
+  // Heads are sorted, so each one links at its new bucket's tail.
+  for (EventNode* head : rebuild_scratch_)
+    link_head(buckets_[global_slot(head->time) & bucket_mask_], head, nullptr);
   rebuild_scratch_.clear();
 }
 
 void Engine::maybe_shrink() {
-  if (num_buckets_ > kMinBuckets && pending_count_ < num_buckets_ / 2)
+  if (num_buckets_ > kMinBuckets && group_count_ < num_buckets_ / 2)
     rebuild(num_buckets_ / 2);
 }
 
 EventId Engine::schedule_at(Time t, Callback cb) {
-  assert(t >= now_ && "cannot schedule into the past");
+  // A past time would break find_min's scan up from now(), and the head
+  // position of now()'s group; NaN compares false both ways.
+  if (!(t >= now_)) {
+    char what[128];
+    std::snprintf(what, sizeof what,
+                  "sim::Engine::schedule_at: time %.17g is before now() %.17g",
+                  t, now_);
+    throw std::invalid_argument(what);
+  }
   EventNode* node = acquire_node();
   node->time = t;
-  node->seq = next_seq_++;
   node->callback = std::move(cb);
   bucket_insert(node);
   ++pending_count_;
   const EventId id{(static_cast<std::uint64_t>(node->slot) << 32) | node->gen};
-  if (pending_count_ > num_buckets_ * 2 && num_buckets_ < kMaxBuckets)
+  if (group_count_ > num_buckets_ * 2 && num_buckets_ < kMaxBuckets)
     rebuild(num_buckets_ * 2);
   return id;
 }
 
 EventId Engine::schedule_after(Time dt, Callback cb) {
-  assert(dt >= 0.0);
   return schedule_at(now_ + dt, std::move(cb));
 }
 

@@ -7,12 +7,17 @@
 //
 // Queue implementation: a bucketed calendar queue (Brown, CACM 1988) over
 // slab-pooled intrusive event nodes. Events hash into power-of-two time
-// buckets of width `width_`; each bucket keeps a doubly-linked list sorted
-// by (time, seq), so the dequeue order is exactly the (time, seq) min-heap
-// order of the previous std::priority_queue implementation — runs stay
-// bit-identical. Cancellation unlinks the node in place (O(1)) instead of
-// leaving a tombstone, and nodes are recycled through a free list, so the
-// steady-state hot path performs no heap allocation per event.
+// buckets of width `width_`. Each bucket keeps a doubly-linked list of group
+// heads, one per distinct pending timestamp, sorted by time; each head leads
+// a ring of every event at its timestamp in scheduling order. A new event is
+// always the latest scheduled, so it joins the back of its timestamp's ring,
+// and the ring order is the FIFO tie-break: the dequeue order is exactly the
+// (time, seq) min-heap order of the original std::priority_queue engine, so
+// runs stay bit-identical. An event at now() joins now()'s group, which
+// always heads now()'s bucket, in O(1). Cancellation unlinks the node in
+// place (O(1)) instead of leaving a tombstone, and nodes are recycled
+// through a free list, so the steady-state hot path performs no heap
+// allocation per event.
 //
 // Lifetime model: simulated processes are spawned into the engine and
 // destroyed either when they finish or when the engine is destroyed. An
@@ -61,10 +66,12 @@ class Engine {
   /// Current simulated time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
+  /// Schedules `cb` at absolute time `t`. Throws std::invalid_argument,
+  /// leaving the queue untouched, unless t >= now() (so NaN is rejected).
   EventId schedule_at(Time t, Callback cb);
 
-  /// Schedules `cb` after a relative delay `dt` >= 0.
+  /// Schedules `cb` after a relative delay `dt`; a negative or NaN `dt`
+  /// throws like schedule_at.
   EventId schedule_after(Time dt, Callback cb);
 
   /// Cancels a pending event; cancelling an already-fired or unknown id is a
@@ -105,12 +112,7 @@ class Engine {
     return pending_count_;
   }
 
-  /// Cancelled-but-not-yet-reclaimed events. The calendar queue cancels in
-  /// place, so this is structurally zero at all times; the accessor remains
-  /// for the tombstone-era regression tests and dashboards.
-  [[nodiscard]] std::size_t cancelled_backlog() const noexcept { return 0; }
-
-  /// Calendar-queue / pool introspection for benches and tests.
+  /// Calendar-queue / pool introspection for tests.
   struct QueueStats {
     std::size_t pending = 0;        ///< events scheduled and live
     std::size_t buckets = 0;        ///< current calendar size (power of two)
@@ -145,18 +147,23 @@ class Engine {
   void note_exception(std::exception_ptr ep) noexcept;
 
  private:
-  /// Pooled intrusive event node. Linked into its bucket while pending
-  /// (prev/next), or into the free list (next only) while idle. `gen`
-  /// advances every time the node is released, invalidating outstanding
-  /// EventIds that still point at the slot.
+  /// Pooled intrusive event node. A pending node is either a group head,
+  /// linked into its bucket's list of heads (prev/next), or a follower, in
+  /// no bucket list (prev/next null); either way it sits in its timestamp's
+  /// ring (tie_prev/tie_next, the head's tie_prev being the newest member).
+  /// An idle node is on the free list (next only). `gen` advances every time
+  /// the node is released, invalidating outstanding EventIds that still
+  /// point at the slot.
   struct EventNode {
     Time time = 0.0;
-    std::uint64_t seq = 0;  // tie-break: FIFO among equal timestamps
     EventNode* prev = nullptr;
     EventNode* next = nullptr;
+    EventNode* tie_prev = nullptr;
+    EventNode* tie_next = nullptr;
     std::uint32_t slot = 0;  // index into the slab pool
     std::uint32_t gen = 1;   // never 0, so EventId{0} is always invalid
     bool linked = false;     // in a bucket (pending) vs free/firing
+    bool head = false;       // heads its timestamp's group
     Callback callback;
   };
   struct Bucket {
@@ -169,12 +176,6 @@ class Engine {
   static constexpr std::size_t kMinBuckets = 4;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
-  /// Strict (time, seq) order — the engine's one and only event order.
-  static bool orders_before(const EventNode& a, const EventNode& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-
   /// Global bucket-ring slot for time `t` (year * buckets + bucket). Huge
   /// and infinite times park in a saturated far-future slot.
   [[nodiscard]] std::uint64_t global_slot(Time t) const noexcept;
@@ -184,15 +185,19 @@ class Engine {
   void grow_pool();
 
   void bucket_insert(EventNode* node) noexcept;
+  /// Links group head `head` into `bucket`'s list before `before` (nullptr:
+  /// at the tail). Its ring is left as it is.
+  void link_head(Bucket& bucket, EventNode* head, EventNode* before) noexcept;
   void bucket_unlink(EventNode* node) noexcept;
 
-  /// The pending event with the smallest (time, seq), or nullptr. Scans the
-  /// calendar ring from now()'s bucket; falls back to a direct search when
-  /// nothing is due within one full ring revolution.
+  /// The pending event that fires next, or nullptr. Scans the calendar ring
+  /// from now()'s bucket; falls back to a direct search when nothing is due
+  /// within one full ring revolution.
   [[nodiscard]] EventNode* find_min() noexcept;
 
-  /// Re-buckets every pending event into `new_buckets` buckets with a fresh
-  /// width estimate. Deterministic: depends only on the queue contents.
+  /// Re-buckets every group into `new_buckets` buckets with a fresh width
+  /// estimate, rings intact. Deterministic: depends only on the queue
+  /// contents.
   void rebuild(std::size_t new_buckets);
   void maybe_shrink();
 
@@ -200,7 +205,6 @@ class Engine {
   bool step(Time limit);
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
 
@@ -208,7 +212,8 @@ class Engine {
   std::size_t num_buckets_ = kMinBuckets;
   std::size_t bucket_mask_ = kMinBuckets - 1;
   double width_ = 1.0;
-  std::size_t pending_count_ = 0;
+  std::size_t pending_count_ = 0;  // events
+  std::size_t group_count_ = 0;    // distinct pending timestamps
 
   std::vector<std::unique_ptr<EventNode[]>> slabs_;
   EventNode* free_head_ = nullptr;

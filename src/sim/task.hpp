@@ -91,13 +91,12 @@ inline void Task::FinalAwaiter::await_suspend(Handle h) const noexcept {
 /// Awaitable that advances simulated time by `duration` seconds.
 /// A zero-duration delay still yields: it reschedules the process at the
 /// back of the current-timestamp FIFO — the deterministic analogue of a
-/// thread yield.
+/// thread yield. A negative or NaN duration throws from the co_await, like
+/// Engine::schedule_after.
 class DelayAwaiter {
  public:
   DelayAwaiter(Engine& engine, Time duration) noexcept
-      : engine_(engine), duration_(duration) {
-    assert(duration >= 0.0);
-  }
+      : engine_(engine), duration_(duration) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {

@@ -7,7 +7,8 @@
 //   * randomized schedule/cancel/run scripts executed in lockstep on
 //     sim::Engine and on an in-test reference scheduler (a (time, seq)
 //     min-heap with tombstone cancellation — the pre-overhaul queue),
-//     asserting identical firing order at every step;
+//     asserting identical firing order at every step, including a
+//     tie-heavy script whose callbacks schedule and cancel same-time events;
 //   * model::evaluate_batch compared bitwise against the scalar predict()
 //     loop over the paper's Table 4 grid, serial and threaded;
 //   * unit tests for the supporting containers (util::FlatMap64,
@@ -21,7 +22,7 @@
 #include <limits>
 #include <queue>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "model/batch.hpp"
@@ -35,8 +36,10 @@ namespace {
 using namespace redcr;
 
 // ---------------------------------------------------------------------------
-// Reference scheduler: (time, seq) min-heap + tombstone set. This is the
-// engine's pre-calendar-queue event queue, reduced to its ordering contract.
+// Reference scheduler: (time, seq) min-heap + tombstones (a cancelled
+// event's callback is cleared and its heap entry skipped when popped). This
+// is the engine's pre-calendar-queue event queue, reduced to its ordering
+// contract.
 
 class RefScheduler {
  public:
@@ -44,23 +47,32 @@ class RefScheduler {
     const std::uint64_t seq = next_seq_++;
     heap_.push(Item{t, seq});
     callbacks_.push_back(std::move(cb));
+    ++pending_;
     return seq;
   }
   void cancel(std::uint64_t seq) {
-    if (seq < callbacks_.size()) cancelled_.insert(seq);
+    if (seq >= callbacks_.size() || !callbacks_[seq]) return;  // fired/stale
+    callbacks_[seq] = nullptr;  // tombstone: the heap entry stays
+    --pending_;
   }
   /// Runs events with time <= limit; afterwards now() == limit.
   void run_until(double limit) {
     while (!heap_.empty() && heap_.top().time <= limit) {
       const Item top = heap_.top();
       heap_.pop();
-      if (cancelled_.erase(top.seq) > 0) continue;
+      if (!callbacks_[top.seq]) continue;  // cancelled
       now_ = top.time;
-      callbacks_[top.seq]();
+      --pending_;
+      // Moved out first: the callback may schedule, growing callbacks_.
+      const std::function<void()> callback = std::move(callbacks_[top.seq]);
+      callbacks_[top.seq] = nullptr;
+      callback();
     }
     if (std::isfinite(limit) && limit > now_) now_ = limit;
   }
   [[nodiscard]] double now() const noexcept { return now_; }
+  /// Events scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
  private:
   struct Item {
@@ -74,9 +86,10 @@ class RefScheduler {
     }
   };
   std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::vector<std::function<void()>> callbacks_;  // by seq
-  std::unordered_set<std::uint64_t> cancelled_;
+  // By seq; null once fired or cancelled.
+  std::vector<std::function<void()>> callbacks_;
   std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;
   double now_ = 0.0;
 };
 
@@ -144,7 +157,7 @@ void run_lockstep_script(std::uint64_t seed) {
     ASSERT_EQ(engine_fired, ref_fired) << "diverged at stage " << stage
                                        << " (seed " << seed << ")";
     ASSERT_DOUBLE_EQ(engine.now(), ref.now());
-    ASSERT_EQ(engine.cancelled_backlog(), 0u);
+    ASSERT_EQ(engine.pending_events(), ref.pending());
   }
   // Drain everything, far-future outliers included.
   engine.run_until(std::numeric_limits<double>::infinity());
@@ -158,11 +171,158 @@ TEST(EnginePerfSemantics, MatchesReferenceHeapAcrossRandomSchedules) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) run_lockstep_script(seed);
 }
 
+/// One side of the tie-heavy lockstep script: a scheduler plus the state
+/// its callbacks act on. Both sides draw the same decisions from their own
+/// copy of the seed, in firing order, so they stay in step exactly as long
+/// as their firing orders agree. Times sit on a coarse grid or at now(), so
+/// most events share a timestamp with others.
+template <class Scheduler>
+class TiedScript {
+ public:
+  static constexpr double kGrid = 0.5;
+
+  TiedScript(Scheduler& sched, std::uint64_t seed) : sched_(sched), rng_{seed} {}
+
+  /// Schedules one event at `t`; returns its label (labels count up from 0
+  /// in scheduling order on both sides).
+  std::size_t schedule(double t) {
+    const std::size_t label = ids_.size();
+    ids_.push_back(sched_.schedule_at(t, [this, label] { fire(label); }));
+    return label;
+  }
+  void cancel(std::size_t label) { sched_.cancel(ids_[label]); }
+  [[nodiscard]] std::size_t labels() const noexcept { return ids_.size(); }
+  /// The grid point `steps` grid intervals after now()'s.
+  [[nodiscard]] double grid_after(std::uint64_t steps) const {
+    return (std::floor(sched_.now() / kGrid) + static_cast<double>(steps)) *
+           kGrid;
+  }
+  Rng& rng() { return rng_; }
+
+  std::vector<std::size_t> fired;
+
+ private:
+  void fire(std::size_t label) {
+    fired.push_back(label);
+    switch (rng_.below(8)) {
+      case 0:
+      case 1:
+      case 2:  // zero-delay children join now()'s group
+        for (std::uint64_t k = rng_.below(3); k > 0; --k)
+          schedule(sched_.now());
+        break;
+      case 3:
+      case 4:
+        schedule(grid_after(1 + rng_.below(4)));
+        break;
+      case 5: {  // cancel a recent event: pending, fired or already cancelled
+        const std::uint64_t window = std::min<std::uint64_t>(ids_.size(), 64);
+        cancel(ids_.size() - 1 - rng_.below(window));
+        break;
+      }
+      case 6: {  // a same-time sibling scheduled and cancelled at once
+        const std::size_t sibling = schedule(sched_.now());
+        schedule(sched_.now());
+        cancel(sibling);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  Scheduler& sched_;
+  Rng rng_;
+  std::vector<decltype(std::declval<Scheduler&>().schedule_at(
+      0.0, std::function<void()>{}))>
+      ids_;
+};
+
+/// Lockstep script for the grouped calendar queue: callbacks schedule at
+/// now() and on a coarse grid, cancels hit a group's head, a middle member,
+/// its last member and a singleton, and the distinct-timestamp count rises
+/// well past twice the bucket count and falls back, so grow and shrink
+/// rebuilds run while rings have followers.
+void run_tied_lockstep_script(std::uint64_t seed) {
+  sim::Engine engine;
+  RefScheduler ref;
+  TiedScript<sim::Engine> eng_side(engine, seed);
+  TiedScript<RefScheduler> ref_side(ref, seed);
+  Rng rng{seed ^ 0x5bd1e995u};
+  std::size_t max_buckets = 0;
+
+  const auto both_schedule = [&](double t) {
+    const std::size_t label = eng_side.schedule(t);
+    ref_side.schedule(t);
+    return label;
+  };
+  const auto both_cancel = [&](std::size_t label) {
+    eng_side.cancel(label);
+    ref_side.cancel(label);
+  };
+
+  for (int stage = 0; stage < 10; ++stage) {
+    // Rise: many distinct grid times with one to four events each.
+    const std::uint64_t distinct = 50 + rng.below(400);
+    for (std::uint64_t j = 0; j < distinct; ++j)
+      for (std::uint64_t m = 1 + rng.below(4); m > 0; --m)
+        both_schedule(eng_side.grid_after(1 + j));
+    max_buckets = std::max(max_buckets, engine.queue_stats().buckets);
+
+    // A group of five and a singleton at fresh times; cancel the group's
+    // head, its middle member and its last member, then the singleton.
+    const double group_time = eng_side.grid_after(distinct) + 0.25;
+    std::size_t group[5];
+    for (std::size_t& label : group) label = both_schedule(group_time);
+    const std::size_t singleton = both_schedule(group_time + 0.125);
+    both_cancel(group[0]);
+    both_cancel(group[2]);
+    both_cancel(group[4]);
+    both_cancel(singleton);
+    ASSERT_EQ(engine.pending_events(), ref.pending());
+
+    // Random cancels over every label so far: pending, fired or repeated.
+    ASSERT_EQ(eng_side.labels(), ref_side.labels());
+    for (std::uint64_t i = rng.below(40); i > 0; --i)
+      both_cancel(rng.below(eng_side.labels()));
+
+    // Advance part of the way, so the next stage rises from a non-empty
+    // queue; now() usually lands between grid points.
+    const double limit =
+        engine.now() + rng.uniform() * static_cast<double>(distinct) *
+                           TiedScript<sim::Engine>::kGrid;
+    engine.run_until(limit);
+    ref.run_until(limit);
+    ASSERT_EQ(eng_side.fired, ref_side.fired)
+        << "diverged at stage " << stage << " (seed " << seed << ")";
+    ASSERT_DOUBLE_EQ(engine.now(), ref.now());
+    ASSERT_EQ(engine.pending_events(), ref.pending());
+  }
+  engine.run();
+  ref.run_until(std::numeric_limits<double>::infinity());
+  ASSERT_EQ(eng_side.fired, ref_side.fired) << "diverged at drain (seed "
+                                            << seed << ")";
+  ASSERT_EQ(engine.pending_events(), 0u);
+  ASSERT_EQ(ref.pending(), 0u);
+  // The calendar grew well past its minimum and shrank back to it.
+  EXPECT_GE(max_buckets, 64u);
+  EXPECT_EQ(engine.queue_stats().buckets, 4u);
+}
+
+TEST(EnginePerfSemantics, TiedSchedulesMatchReferenceHeap) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    run_tied_lockstep_script(seed);
+}
+
 TEST(EnginePerfSemantics, SameTimeBurstsFireInScheduleOrder) {
   sim::Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 1000; ++i)
     engine.schedule_at(5.0, [&order, i] { order.push_back(i); });
+  // One timestamp is one group: the calendar sizes itself by distinct
+  // pending timestamps, so a same-time burst never grows it.
+  EXPECT_EQ(engine.queue_stats().pending, 1000u);
+  EXPECT_EQ(engine.queue_stats().buckets, 4u);
   engine.run();
   ASSERT_EQ(order.size(), 1000u);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(order[i], i);
