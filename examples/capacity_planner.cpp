@@ -8,41 +8,32 @@
 //   - a cost-weighted blend (the paper's "cost function giving different
 //     weights to execution time and number of resources").
 //
-//   $ ./capacity_planner [--procs N] [--hours T] [--mtbf-years Y]
-//                        [--alpha A] [--ckpt-sec C] [--restart-sec R]
-//                        [--time-weight W] [--jobs J]
+//   $ ./capacity_planner [scenario flags] [--time-weight W] [--jobs N|auto]
+//
+// The scenario flags are `redcr_cli model`'s (redcr::scenario_flags());
+// --help lists them with their defaults.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "redcr/redcr.hpp"
-
-namespace {
-
-double arg_or(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace redcr;
   using namespace redcr::util;
 
-  const model::CombinedConfig config =
-      scenario()
-          .node_mtbf(years(arg_or(argc, argv, "--mtbf-years", 5)))
-          .checkpoint_cost(arg_or(argc, argv, "--ckpt-sec", 600))
-          .restart_cost(arg_or(argc, argv, "--restart-sec", 1800))
-          .base_time(hours(arg_or(argc, argv, "--hours", 128)))
-          .comm_fraction(arg_or(argc, argv, "--alpha", 0.2))
-          .processes(
-              static_cast<std::size_t>(arg_or(argc, argv, "--procs", 100000)))
-          .build();
-  const double time_weight = arg_or(argc, argv, "--time-weight", 0.5);
+  ScenarioBuilder builder;
+  double time_weight = 0.0;
+  int jobs = 0;
+  util::FlagSet flags = scenario_flags(builder);
+  flags.add({{"time-weight", "W", "0.5", time_weight}, exp::jobs_knob(jobs)});
+  flags.parse_or_exit(argc, argv, "capacity_planner");
+  model::CombinedConfig config;
+  try {
+    config = builder.build();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "capacity_planner: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("Job: N=%zu procs, t=%.0f h, alpha=%.2f | Machine: theta=%.1f y,"
               " c=%.0f s, R=%.0f s\n\n",
@@ -63,8 +54,7 @@ int main(int argc, char** argv) {
   request.degrees.reserve(trials.size());
   for (const exp::Trial& trial : trials)
     request.degrees.push_back(trial.at("r"));
-  const PlanResponse plan = planner.plan(
-      request, static_cast<int>(arg_or(argc, argv, "--jobs", 0)));
+  const PlanResponse plan = planner.plan(request, jobs);
   const std::vector<model::Prediction>& preds = plan.sweep();
 
   exp::ResultSink t("capacity", {{"r"}, {"T_total [h]"}, {"nodes"},

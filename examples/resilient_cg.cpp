@@ -10,32 +10,25 @@
 //   $ ./resilient_cg [--redundancy R] [--mtbf-hours H] [--seed S]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "apps/cg.hpp"
 #include "runtime/executor.hpp"
+#include "util/knob.hpp"
 #include "util/units.hpp"
-
-namespace {
-
-double arg_or(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace redcr;
   using namespace redcr::util;
 
-  const double redundancy = arg_or(argc, argv, "--redundancy", 1.5);
-  const double mtbf_hours = arg_or(argc, argv, "--mtbf-hours", 0.08);
-  const auto seed = static_cast<std::uint64_t>(arg_or(argc, argv, "--seed", 3));
+  double redundancy = 0.0;
+  double mtbf_hours = 0.0;
+  std::uint64_t seed = 0;
+  const util::FlagSet flags = {{"redundancy", "R", "1.5", redundancy},
+                               {"mtbf-hours", "H", "0.08", mtbf_hours},
+                               {"seed", "S", "3", seed}};
+  flags.parse_or_exit(argc, argv, "resilient_cg");
 
   apps::CgSpec spec;
   spec.rows_per_rank = 64;

@@ -29,6 +29,7 @@
 
 #include "model/combined.hpp"
 #include "model/extensions.hpp"
+#include "util/knob.hpp"
 #include "util/units.hpp"
 
 namespace redcr {
@@ -196,5 +197,28 @@ class ScenarioBuilder {
 
 /// Entry point: `redcr::scenario().node_mtbf(...)...build()`.
 [[nodiscard]] inline ScenarioBuilder scenario() { return ScenarioBuilder{}; }
+
+/// The scenario's knobs with their defaults, bound to `b`: the flags of
+/// `redcr_cli model` and `sweep` and of the capacity_planner example, and
+/// serve's request keys (spelled with '_', e.g. `mtbf_years`). Only `procs`
+/// carries a range here; build() checks the rest.
+[[nodiscard]] inline util::FlagSet scenario_flags(ScenarioBuilder& b) {
+  using util::Domain;
+  using util::Value;
+  return {
+      {"procs", "N", "50000", Domain::count(1, 1e15),
+       [&b](Value v) { b.processes(std::size_t(v.number)); }},
+      {"hours", "T", "128", Domain::number(),
+       [&b](Value v) { b.base_time(util::hours(v.number)); }},
+      {"mtbf-years", "Y", "5", Domain::number(),
+       [&b](Value v) { b.node_mtbf(util::years(v.number)); }},
+      {"alpha", "A", "0.2", Domain::number(),
+       [&b](Value v) { b.comm_fraction(v.number); }},
+      {"ckpt-sec", "C", "600", Domain::number(),
+       [&b](Value v) { b.checkpoint_cost(v.number); }},
+      {"restart-sec", "R", "1800", Domain::number(),
+       [&b](Value v) { b.restart_cost(v.number); }},
+  };
+}
 
 }  // namespace redcr

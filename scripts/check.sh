@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds the tree twice — with AddressSanitizer + UBSan, and
 # with ThreadSanitizer — and runs the fast `smoke`-labelled test suites
-# under each. The ASan+UBSan cell configures RelWithDebInfo without its
-# -DNDEBUG, so it is also the one build in which the `assert`s in src/ run.
+# under each. The ASan+UBSan cell adds float-cast-overflow, which GCC's
+# -fsanitize=undefined leaves out, and also runs the `cli` exit-code cases,
+# so every bad-input probe of redcr_cli meets it. That cell configures
+# RelWithDebInfo without its -DNDEBUG, so it is also the one build in which
+# the `assert`s in src/ run.
 # The TSan cell covers the code that really runs threads, such as
 # exp::SweepRunner's parallel DES cells (each worker thread with its own
 # util::BlockPool lists) and the Planner cache. Intended as the pre-merge
@@ -20,14 +23,14 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
-  -DREDCR_SANITIZE="address;undefined"
+  -DREDCR_SANITIZE="address;undefined;float-cast-overflow"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 # halt_on_error: a UBSan diagnostic must fail the gate, not just print.
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-ctest --test-dir "$BUILD_DIR" -L smoke --output-on-failure -j "$JOBS"
+ctest --test-dir "$BUILD_DIR" -L 'smoke|cli' --output-on-failure -j "$JOBS"
 
-echo "check.sh: ASan+UBSan smoke suite passed"
+echo "check.sh: ASan+UBSan smoke and cli suites passed"
 
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

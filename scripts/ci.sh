@@ -26,6 +26,8 @@ echo "=== ci.sh: fault-matrix smoke (ASan/UBSan) ==="
 # probability x retention depth. Both exit codes 0 (completed) and 1
 # (structured JobAbort) are legitimate outcomes; anything else — including
 # a sanitizer report, which aborts the process — fails the gate.
+# halt_on_error makes a UBSan report abort too; by default it only prints.
+export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 FAULT_CLI="build-san/tools/redcr_cli"
 for corr in 0 0.05 1; do
   for wfail in 0 0.2; do

@@ -10,52 +10,58 @@
 #include "obs/flatjson.hpp"
 #include "obs/json.hpp"
 #include "redcr/scenario.hpp"
+#include "util/knob.hpp"
 #include "util/units.hpp"
 
 namespace redcr::apps {
 
 namespace {
 
-/// One parsed request line. Defaults mirror `redcr_cli model`'s flags.
+/// One parsed request line.
 struct Request {
   double id = 0.0;  // 0 = not given; replaced by the line number
-  double procs = 50000;
-  double hours = 128;
-  double mtbf_years = 5;
-  double alpha = 0.2;
-  double ckpt_sec = 600;
-  double restart_sec = 1800;
-  double r_min = 1.0;
-  double r_max = 3.0;
-  double r_step = 0.25;
+  ScenarioBuilder scenario;
+  double r_min = 0.0;
+  double r_max = 0.0;
+  double r_step = 0.0;
 };
 
-Request parse_request(const std::string& line, std::size_t lineno) {
-  Request q;
+/// The request keys bound to `q`: the scenario's plus serve's own.
+util::FlagSet request_keys(Request& q) {
+  util::FlagSet keys = scenario_flags(q.scenario);
+  keys.add({{"id", "", "", q.id},
+            {"r_min", "", "1", q.r_min},
+            {"r_max", "", "3", q.r_max},
+            {"r_step", "", "0.25", q.r_step}});
+  return keys;
+}
+
+[[noreturn]] void bad_request(std::size_t lineno, const std::string& what) {
+  throw std::runtime_error("request at line " + std::to_string(lineno) +
+                           ": " + what);
+}
+
+/// Parses one line into the request `keys` write, after its domain check.
+void parse_request(const std::string& line, std::size_t lineno,
+                   const util::FlagSet& keys) {
   obs::FlatLineParser parser(line, lineno, "request");
   parser.parse_object([&](const std::string& key) {
     const double v = parser.parse_number();
-    if (key == "id") q.id = v;
-    else if (key == "procs") q.procs = v;
-    else if (key == "hours") q.hours = v;
-    else if (key == "mtbf_years") q.mtbf_years = v;
-    else if (key == "alpha") q.alpha = v;
-    else if (key == "ckpt_sec") q.ckpt_sec = v;
-    else if (key == "restart_sec") q.restart_sec = v;
-    else if (key == "r_min") q.r_min = v;
-    else if (key == "r_max") q.r_max = v;
-    else if (key == "r_step") q.r_step = v;
-    // Unknown numeric keys are ignored (forward compatibility).
+    const util::Knob* knob = keys.find(key);
+    if (knob == nullptr) return;  // unknown keys: forward compatibility
+    if (!knob->domain.admits(v)) {
+      std::string got;
+      obs::json::append_number(got, v);
+      bad_request(lineno, knob->domain.reject(key, got));
+    }
+    knob->set(util::Value{v, {}});
   });
-  if (q.id == 0.0) q.id = static_cast<double>(lineno);
-  return q;
 }
 
 PlanRequest to_plan(const Request& q, std::size_t lineno,
                     const ServeOptions& options) {
   const auto bad = [lineno](const std::string& what) {
-    throw std::runtime_error("request at line " + std::to_string(lineno) +
-                             ": " + what);
+    bad_request(lineno, what);
   };
   // The planner's grid walk asserts these in debug builds only; a replayed
   // log is external input, so validate with a line-numbered error instead.
@@ -64,21 +70,10 @@ PlanRequest to_plan(const Request& q, std::size_t lineno,
   if (!(q.r_min >= 1.0) || !(q.r_max >= q.r_min) || !std::isfinite(q.r_max))
     bad("need 1 <= r_min <= r_max (finite)");
   if ((q.r_max - q.r_min) / q.r_step > 1e6) bad("redundancy grid too large");
-  // Checked before the size_t cast below, which is undefined for negative,
-  // NaN and huge values; the range is `redcr_cli model --procs`'s.
-  if (!(q.procs >= 1.0 && q.procs <= 1e15))
-    bad("procs must be finite and in [1, 1e15]");
 
   PlanRequest plan;
   try {
-    plan.config = scenario()
-                      .node_mtbf(util::years(q.mtbf_years))
-                      .checkpoint_cost(q.ckpt_sec)
-                      .restart_cost(q.restart_sec)
-                      .base_time(util::hours(q.hours))
-                      .comm_fraction(q.alpha)
-                      .processes(static_cast<std::size_t>(q.procs))
-                      .build();
+    plan.config = q.scenario.build();
   } catch (const std::exception& e) {
     bad(e.what());
   }
@@ -124,6 +119,10 @@ double percentile(const std::vector<double>& sorted, double p) {
 ServeReport serve_replay(const std::string& text, std::string& responses,
                          const ServeOptions& options) {
   Planner planner(options.cache_capacity);
+  Request q;
+  const util::FlagSet keys = request_keys(q);
+  (void)keys.parse(0, nullptr);  // no flags: every key at its default
+  const Request defaults = q;
   ServeReport report;
   std::vector<double> latencies_us;
   using clock = std::chrono::steady_clock;
@@ -136,7 +135,9 @@ ServeReport serve_replay(const std::string& text, std::string& responses,
     ++lineno;
     if (end > pos) {
       const std::string line = text.substr(pos, end - pos);
-      const Request q = parse_request(line, lineno);
+      q = defaults;
+      parse_request(line, lineno, keys);
+      if (q.id == 0.0) q.id = static_cast<double>(lineno);
       const PlanRequest plan_request = to_plan(q, lineno, options);
       const auto t0 = clock::now();
       const PlanResponse plan = planner.plan(plan_request, options.jobs);

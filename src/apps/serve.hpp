@@ -13,10 +13,11 @@
 //    "mtbf_years": 5, "ckpt_sec": 600, "restart_sec": 1800,
 //    "r_min": 1.0, "r_max": 3.0, "r_step": 0.25}
 //
-// Defaults mirror `redcr_cli model` (the flags of the same names); `id`
-// defaults to the line number. Unknown keys must be numbers and are
-// ignored (the journal's forward-compatibility rule). Malformed lines or
-// invalid scenarios throw std::runtime_error naming the line.
+// The scenario keys are redcr::scenario_flags() with '_' for '-', their
+// defaults and domains included; `id` defaults to the line number. Unknown
+// keys must be numbers and are ignored (the journal's forward-compatibility
+// rule). Malformed lines, values outside a key's domain and invalid
+// scenarios throw std::runtime_error naming the line.
 //
 // Response lines are deterministic bytes: rendered with the obs/json.hpp
 // number rule, independent of --jobs and identical across reruns (the

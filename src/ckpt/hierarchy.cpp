@@ -23,6 +23,18 @@ std::string level_prefix(int index, LevelKind kind) {
 
 }  // namespace
 
+util::FlagSet level_keys(LevelParams& l) {
+  return {{"bw", "B/s", "", l.device.bandwidth},
+          {"lat", "S", "", l.device.base_latency},
+          {"rbw", "B/s", "", l.read_bandwidth},
+          {"ret", "N", "", l.retention},
+          {"interval", "M", "", l.interval},
+          {"corr", "P", "", l.corruption_prob},
+          {"wfail", "P", "", l.write_failure_prob},
+          {"group", "G", "", l.group_size},
+          {"k", "K", "", l.xor_tolerance}};
+}
+
 LevelKind parse_level_kind(const std::string& token) {
   if (token == "local") return LevelKind::kLocal;
   if (token == "partner") return LevelKind::kPartner;
@@ -188,6 +200,7 @@ HierarchyParams parse_hierarchy(const std::string& spec) {
     std::stringstream fields_in(level_spec);
     std::string field;
     LevelParams level;
+    const util::FlagSet keys = level_keys(level);
     bool first = true;
     while (std::getline(fields_in, field, ',')) {
       if (first) {
@@ -196,45 +209,19 @@ HierarchyParams parse_hierarchy(const std::string& spec) {
         continue;
       }
       const auto eq = field.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == field.size()) {
-        fail("hierarchy level " + std::to_string(index) + ": field '" + field +
-             "' is not key=value");
-      }
+      const std::string at = "hierarchy level " + std::to_string(index);
+      if (eq == std::string::npos || eq == 0 || eq + 1 == field.size())
+        fail(at + ": field '" + field + "' is not key=value");
       const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      double num = 0.0;
-      try {
-        std::size_t used = 0;
-        num = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        fail("hierarchy level " + std::to_string(index) + ": value '" + value +
-             "' for key '" + key + "' is not a number");
+      const util::Knob* knob = keys.find(key);
+      if (knob == nullptr) {
+        std::string known;
+        for (const util::Knob& k : keys.knobs())
+          known += (known.empty() ? "" : ", ") + std::string(k.name);
+        fail(at + ": unknown key '" + key + "' (expected " + known + ")");
       }
-      if (key == "bw") {
-        level.device.bandwidth = num;
-      } else if (key == "lat") {
-        level.device.base_latency = num;
-      } else if (key == "rbw") {
-        level.read_bandwidth = num;
-      } else if (key == "ret") {
-        level.retention = static_cast<int>(num);
-      } else if (key == "interval") {
-        level.interval = static_cast<int>(num);
-      } else if (key == "corr") {
-        level.corruption_prob = num;
-      } else if (key == "wfail") {
-        level.write_failure_prob = num;
-      } else if (key == "group") {
-        level.group_size = static_cast<int>(num);
-      } else if (key == "k") {
-        level.xor_tolerance = static_cast<int>(num);
-      } else {
-        fail("hierarchy level " + std::to_string(index) + ": unknown key '" +
-             key +
-             "' (expected bw, lat, rbw, ret, interval, corr, wfail, group, "
-             "or k)");
-      }
+      knob->set(knob->domain.parse(at + ": key '" + key + "'",
+                                   field.substr(eq + 1)));
     }
     if (first) {
       fail("hierarchy level " + std::to_string(index) + ": missing kind");

@@ -55,6 +55,7 @@
 
 #include "ckpt/storage.hpp"
 #include "ckpt/store.hpp"
+#include "util/knob.hpp"
 
 namespace redcr::ckpt {
 
@@ -132,9 +133,12 @@ struct HierarchyParams {
   void validate(int num_ranks) const;
 };
 
+/// A level's spec keys, bound to `level`: bw, lat, rbw, ret, interval, corr,
+/// wfail, group and k. The four integer keys are counts.
+[[nodiscard]] util::FlagSet level_keys(LevelParams& level);
+
 /// Parses a CLI hierarchy spec: levels separated by ';', each
-/// "kind[,key=value...]" with keys bw, lat, rbw, ret, interval, corr,
-/// wfail, group, k — e.g.
+/// "kind[,key=value...]" with keys from level_keys() — e.g.
 ///   "local,bw=5e10;xor,bw=2e10,group=4,k=1;pfs,bw=2e9,interval=4"
 /// Throws std::invalid_argument naming the offending level/key.
 [[nodiscard]] HierarchyParams parse_hierarchy(const std::string& spec);

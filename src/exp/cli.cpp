@@ -2,7 +2,6 @@
 
 #include <cstdarg>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
@@ -14,36 +13,57 @@ namespace redcr::exp {
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: %s [--quick|--full] [--seeds N] [--csv DIR]\n"
-    "          [--jobs N|auto] [--json] [--filter AXIS=V[,AXIS=V...]]\n"
-    "          [--progress] [--keep-going]\n"
-    "          [--engine event|fastforward|auto]\n"
-    "          [--log-level debug|info|warn|error|off]\n";
-constexpr const char* kGuardUsage =
-    "          [--repeat N] [--guard BASELINE.json] [--tolerance F]\n";
-
-/// Strict positive-integer parse; std::atoi's silent 0 on garbage is exactly
-/// the bug class this replaces.
-bool parse_positive_int(const char* text, int* out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 1 || value > 1 << 24) return false;
-  *out = static_cast<int>(value);
-  return true;
-}
-
-/// Strict parse of a fraction in [0, 1).
-bool parse_fraction(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(value >= 0.0 && value < 1.0))
-    return false;
-  *out = value;
-  return true;
-}
+constexpr double kMaxCount = 1 << 24;
 
 }  // namespace
+
+util::Knob jobs_knob(int& jobs) {
+  return {"jobs", "N|auto", "", util::Domain::count(1, kMaxCount, "auto"),
+          [&jobs](util::Value v) { jobs = v.word == 0 ? 0 : int(v.number); }};
+}
+
+util::Knob log_level_knob(std::optional<util::LogLevel>& level) {
+  return {"log-level", "", "",
+          util::Domain::word("debug|info|warn|error|off"),
+          [&level](util::Value v) { level = util::parse_log_level(v.text); }};
+}
+
+util::FlagSet campaign_flags(BenchArgs& args) {
+  return {
+      // Created here, before the campaign burns its cycles.
+      {"csv", "DIR", "", util::Domain::text(),
+       [&args](util::Value v) {
+         const std::string dir(v.text);
+         std::error_code ec;
+         std::filesystem::create_directories(dir, ec);
+         if (!std::filesystem::is_directory(dir, ec))
+           throw std::invalid_argument("--csv: cannot create directory '" +
+                                       dir + "'");
+         args.csv_dir = dir;
+       }},
+      {"json", "", "", args.json},
+      {"filter", "AXIS=V[,AXIS=V...]", "", util::Domain::text(),
+       [&args](util::Value v) {
+         v.to(args.filter);
+         (void)parse_filter(args.filter);  // syntax check; axes bind later
+       }},
+      {"keep-going", "", "", args.keep_going},
+  };
+}
+
+util::FlagSet bench_flags(BenchArgs& args, PerfGuard* guard) {
+  util::FlagSet flags = {
+      {"quick", "", "", args.quick},
+      {"full", "", "", args.full},
+      {"seeds", "N", "", util::Domain::count(1, kMaxCount), args.seeds},
+      {"progress", "", "", args.progress},
+      runtime::engine_knob(args.engine),
+      jobs_knob(args.jobs),
+  };
+  flags.add(campaign_flags(args)).add({log_level_knob(args.log_level)});
+  if (guard) flags.add(guard_flags(*guard));
+  return flags;
+}
 
 std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
                                               std::string* error,
@@ -53,100 +73,15 @@ std::optional<BenchArgs> BenchArgs::try_parse(int argc, char** argv,
     return std::nullopt;
   };
   BenchArgs args;
-  bool seeds_explicit = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      (void)flag;
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      args.quick = true;
-    } else if (std::strcmp(arg, "--full") == 0) {
-      args.full = true;
-    } else if (std::strcmp(arg, "--seeds") == 0) {
-      const char* v = value("--seeds");
-      if (!v) return fail("--seeds requires a value");
-      if (!parse_positive_int(v, &args.seeds))
-        return fail(std::string("invalid --seeds value '") + v +
-                    "' (expected an integer >= 1)");
-      seeds_explicit = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      const char* v = value("--jobs");
-      if (!v) return fail("--jobs requires a value");
-      if (std::strcmp(v, "auto") == 0) {
-        args.jobs = 0;  // 0 = hardware concurrency, everywhere downstream
-      } else if (!parse_positive_int(v, &args.jobs)) {
-        return fail(std::string("invalid --jobs value '") + v +
-                    "' (expected an integer >= 1, or 'auto')");
-      }
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      const char* v = value("--csv");
-      if (!v) return fail("--csv requires a directory");
-      // Fail here, not after the campaign has burned its cycles: make sure
-      // the directory exists (creating it if needed) before running anything.
-      std::error_code ec;
-      std::filesystem::create_directories(v, ec);
-      if (ec || !std::filesystem::is_directory(v, ec))
-        return fail(std::string("--csv: cannot create directory '") + v + "'");
-      args.csv_dir = v;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      args.json = true;
-    } else if (std::strcmp(arg, "--progress") == 0) {
-      args.progress = true;
-    } else if (std::strcmp(arg, "--keep-going") == 0) {
-      args.keep_going = true;
-    } else if (std::strcmp(arg, "--engine") == 0) {
-      const char* v = value("--engine");
-      if (!v) return fail("--engine requires a value");
-      const std::optional<runtime::ExecMode> mode = runtime::parse_engine(v);
-      if (!mode)
-        return fail(std::string("invalid --engine '") + v +
-                    "' (expected event|fastforward|auto)");
-      args.engine = *mode;
-    } else if (std::strcmp(arg, "--log-level") == 0) {
-      const char* v = value("--log-level");
-      if (!v) return fail("--log-level requires a value");
-      args.log_level = util::parse_log_level(v);
-      if (!args.log_level)
-        return fail(std::string("invalid --log-level '") + v +
-                    "' (expected debug|info|warn|error|off)");
-    } else if (std::strcmp(arg, "--filter") == 0) {
-      const char* v = value("--filter");
-      if (!v) return fail("--filter requires a spec");
-      args.filter = v;
-      try {
-        (void)parse_filter(args.filter);  // syntax check; axes bind later
-      } catch (const std::invalid_argument& e) {
-        return fail(e.what());
-      }
-    } else if (guard && std::strcmp(arg, "--guard") == 0) {
-      const char* v = value("--guard");
-      if (!v) return fail("--guard requires a baseline file");
-      guard->baseline_path = v;
-    } else if (guard && std::strcmp(arg, "--tolerance") == 0) {
-      const char* v = value("--tolerance");
-      if (!v) return fail("--tolerance requires a value");
-      if (!parse_fraction(v, &guard->tolerance))
-        return fail(std::string("invalid --tolerance value '") + v +
-                    "' (expected a fraction in [0, 1))");
-    } else if (guard && std::strcmp(arg, "--repeat") == 0) {
-      const char* v = value("--repeat");
-      if (!v) return fail("--repeat requires a value");
-      if (!parse_positive_int(v, &guard->repeat))
-        return fail(std::string("invalid --repeat value '") + v +
-                    "' (expected an integer >= 1)");
-    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      if (error) *error = "help";
-      return std::nullopt;
-    } else {
-      return fail(std::string("unknown flag '") + arg + "'");
-    }
+  args.seeds = 0;  // not given: --quick/--full pick it below
+  try {
+    if (!bench_flags(args, guard).parse(argc, argv)) return fail("help");
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
   }
   if (args.quick && args.full)
     return fail("--quick and --full are mutually exclusive");
-  if (!seeds_explicit) args.seeds = args.quick ? 1 : (args.full ? 5 : 2);
+  if (args.seeds == 0) args.seeds = args.quick ? 1 : (args.full ? 5 : 2);
   return args;
 }
 
@@ -160,9 +95,10 @@ BenchArgs BenchArgs::parse(int argc, char** argv, PerfGuard* guard) {
   }
   const bool help = error == "help";
   if (!help) std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-  std::FILE* out = help ? stdout : stderr;
-  std::fprintf(out, kUsage, argv[0]);
-  if (guard) std::fputs(kGuardUsage, out);
+  const std::string prefix = "usage: " + std::string(argv[0]) + " ";
+  BenchArgs unused;
+  std::fprintf(help ? stdout : stderr, "%s%s", prefix.c_str(),
+               bench_flags(unused, guard).synopsis(prefix.size()).c_str());
   std::exit(help ? 0 : 2);
 }
 

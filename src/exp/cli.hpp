@@ -1,6 +1,6 @@
 // Command-line front end shared by every bench binary.
 //
-// Flags:
+// Flags (rows in cli.cpp; `--help` prints them with their defaults):
 //   --quick          1 seed, coarser grids (fast smoke)
 //   --full           5 seeds, finest grids
 //   --seeds N        DES repetitions averaged per cell (N >= 1)
@@ -29,6 +29,7 @@
 #include <string>
 
 #include "redcr/run_options.hpp"
+#include "util/knob.hpp"
 #include "util/log.hpp"
 
 namespace redcr::exp {
@@ -78,6 +79,23 @@ struct BenchArgs {
   /// printf-style commentary to text_out().
   void say(const char* format, ...) const;
 };
+
+/// --jobs N|auto, the worker-thread knob every front end shares: a count
+/// >= 1, or `auto` (stored as 0) for every hardware core. No default: the
+/// destinations start at 0.
+[[nodiscard]] util::Knob jobs_knob(int& jobs);
+
+/// --log-level debug|info|warn|error|off.
+[[nodiscard]] util::Knob log_level_knob(std::optional<util::LogLevel>& level);
+
+/// The output and failure-policy flags of any campaign: --csv, --json,
+/// --filter and --keep-going. `redcr_cli sweep` takes them too.
+[[nodiscard]] util::FlagSet campaign_flags(BenchArgs& args);
+
+/// Every flag of a bench binary bound to `args`, plus `guard`'s --guard,
+/// --tolerance and --repeat when a guard is given.
+[[nodiscard]] util::FlagSet bench_flags(BenchArgs& args,
+                                        PerfGuard* guard = nullptr);
 
 /// Prints the standard bench header (to args.text_out()).
 void print_header(const BenchArgs& args, const char* title,

@@ -63,6 +63,15 @@ Measurement PerfGuard::best_of(
   return m;
 }
 
+util::FlagSet guard_flags(PerfGuard& guard) {
+  return {
+      {"repeat", "N", "", util::Domain::count(1, 1 << 24), guard.repeat},
+      {"guard", "BASELINE.json", "", guard.baseline_path},
+      // A tolerance >= 1 makes the floor zero or negative: no gate at all.
+      {"tolerance", "F", "", util::Domain::number(0, 1, true), guard.tolerance},
+  };
+}
+
 bool PerfGuard::passes(double rate, double base) const {
   return rate >= base * (1.0 - tolerance);
 }

@@ -5,8 +5,8 @@
 // (BENCH_baseline.json, the `--json` output of those benches). Everything
 // around the scenario itself lives here: best-of-N timing, the baseline
 // lookup, the verdict lines scripts/bench_guard.sh parses, and the one-line
-// NDJSON scenario row. The guard's flags are parsed strictly by
-// BenchArgs::parse when a bench passes its PerfGuard:
+// NDJSON scenario row. The guard's flags are guard_flags(), which
+// BenchArgs::parse adds when a bench passes its PerfGuard:
 //
 //   --guard FILE     compare against this baseline; exit 1 on a breach, an
 //                    unreadable baseline or a scenario the baseline lacks
@@ -22,6 +22,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+
+#include "util/knob.hpp"
 
 namespace redcr::exp {
 
@@ -106,5 +108,8 @@ struct PerfGuard {
   [[nodiscard]] bool report(const BenchArgs& args, const char* bench,
                             const Measurement& m, const char* note) const;
 };
+
+/// --guard FILE, --tolerance F (0 <= F < 1) and --repeat N (N >= 1).
+[[nodiscard]] util::FlagSet guard_flags(PerfGuard& guard);
 
 }  // namespace redcr::exp

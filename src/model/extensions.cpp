@@ -167,11 +167,15 @@ void UnreliableCkptParams::validate() const {
     const std::string at = "levels[" + std::to_string(l) + "].";
     if (!(lvl.recovery_prob >= 0.0 && lvl.recovery_prob <= 1.0))
       fail(at + "recovery_prob must be in [0, 1]");
-    if (!(lvl.fetch_cost >= 0.0)) fail(at + "fetch_cost must be >= 0");
-    if (!(lvl.staleness_periods >= 0.0))
-      fail(at + "staleness_periods must be >= 0");
+    if (!(lvl.fetch_cost >= 0.0) || !std::isfinite(lvl.fetch_cost))
+      fail(at + "fetch_cost must be finite and >= 0");
+    if (!(lvl.staleness_periods >= 0.0) ||
+        !std::isfinite(lvl.staleness_periods))
+      fail(at + "staleness_periods must be finite and >= 0");
   }
-  if (!(flush_cost >= 0.0)) fail("flush_cost must be >= 0");
+  if (!(flush_cost >= 0.0) || !std::isfinite(flush_cost))
+    fail("flush_cost must be finite and >= 0");
+  // flush_period may be inf: never flush.
   if (!(flush_period >= 1.0)) fail("flush_period must be >= 1");
   if (!(async_exposed_fraction >= 0.0 && async_exposed_fraction <= 1.0))
     fail("async_exposed_fraction must be in [0, 1]");

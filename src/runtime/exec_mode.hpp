@@ -1,11 +1,10 @@
-// runtime::ExecMode — which engine advances a job between failures — and the
-// one parser for its `--engine` spelling. Kept apart from executor.hpp so the
-// option blocks (redcr::RunOptions, exp::BenchArgs) can carry the executor's
-// own enum without pulling in the executor.
+// runtime::ExecMode — which engine advances a job between failures — and
+// its `--engine` knob row. Kept apart from executor.hpp so the option blocks
+// (redcr::RunOptions, exp::BenchArgs) can carry the executor's own enum
+// without pulling in the executor.
 #pragma once
 
-#include <optional>
-#include <string_view>
+#include "util/knob.hpp"
 
 namespace redcr::runtime {
 
@@ -21,13 +20,11 @@ enum class ExecMode {
                  ///< trace/journal sinks force the event engine)
 };
 
-/// Parses an `--engine` argument ("event", "fastforward", "auto").
-[[nodiscard]] inline std::optional<ExecMode> parse_engine(
-    std::string_view name) {
-  if (name == "event") return ExecMode::kEvent;
-  if (name == "fastforward") return ExecMode::kFastForward;
-  if (name == "auto") return ExecMode::kAuto;
-  return std::nullopt;
+/// --engine event|fastforward|auto (the words in ExecMode order), default
+/// auto: fast-forward wherever bit-identity is provable.
+[[nodiscard]] inline util::Knob engine_knob(ExecMode& mode) {
+  return {"engine", "", "auto", util::Domain::word("event|fastforward|auto"),
+          [&mode](util::Value v) { mode = ExecMode(v.word); }};
 }
 
 }  // namespace redcr::runtime

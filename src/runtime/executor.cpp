@@ -74,10 +74,12 @@ JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
     throw std::invalid_argument(
         "JobExecutor: ckpt_retention must be >= 1, got " +
         std::to_string(config_.ckpt_retention));
-  if (config_.checkpoint_enabled && config_.checkpoint_interval <= 0.0)
+  // NaN fails `> 0` too; inf passes: no checkpoint ever fires.
+  if (config_.checkpoint_enabled && !(config_.checkpoint_interval > 0.0))
     throw std::invalid_argument(
-        "JobExecutor: checkpointing enabled but no interval given "
-        "(compute one with model::daly_interval)");
+        "JobExecutor: checkpointing enabled but the interval is not > 0, "
+        "got " + std::to_string(config_.checkpoint_interval) +
+        " (compute one with model::daly_interval)");
   if (config_.live_failure_semantics && config_.checkpoint_enabled)
     throw std::invalid_argument(
         "JobExecutor: live failure semantics cannot join the collective "

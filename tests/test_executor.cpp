@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "apps/cg.hpp"
@@ -145,6 +146,15 @@ TEST(Executor, RequiresIntervalWhenCheckpointingEnabled) {
   cfg.checkpoint_interval = 0.0;
   EXPECT_THROW(JobExecutor(cfg, synthetic_factory(small_synthetic())),
                std::invalid_argument);
+}
+
+TEST(Executor, RejectsNanIntervalButNotInfinite) {
+  JobConfig cfg = base_config(4, 1.0);
+  cfg.checkpoint_interval = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(JobExecutor(cfg, synthetic_factory(small_synthetic())),
+               std::invalid_argument);
+  cfg.checkpoint_interval = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(JobExecutor(cfg, synthetic_factory(small_synthetic())));
 }
 
 TEST(Executor, GivesUpAfterMaxEpisodes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "model/extensions.hpp"
@@ -146,6 +147,21 @@ TEST(FailureWaste, RejectsNegativeAndNanInputs) {
   const double nan = std::nan("");
   EXPECT_THROW((void)predicted_failure_waste(nan, 0.0, 0.0),
                std::invalid_argument);
+}
+
+TEST(UnreliableParams, HierarchyTermsMustBeFinite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  UnreliableCkptParams u;
+  u.levels = {{0.5, kInf, 0.0}};
+  EXPECT_THROW(u.validate(), std::invalid_argument);
+  u.levels = {{0.5, 10.0, kInf}};
+  EXPECT_THROW(u.validate(), std::invalid_argument);
+  u.levels.clear();
+  u.flush_cost = kInf;
+  EXPECT_THROW(u.validate(), std::invalid_argument);
+  u.flush_cost = 600.0;
+  u.flush_period = kInf;  // never flush
+  EXPECT_NO_THROW(u.validate());
 }
 
 }  // namespace

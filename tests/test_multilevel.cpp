@@ -83,6 +83,22 @@ TEST(HierarchyParse, ErrorsNameTheOffendingLevelAndKey) {
   }
 }
 
+TEST(HierarchyParse, IntegerKeysTakeWholeCounts) {
+  for (const std::string key : {"ret", "interval", "group", "k"}) {
+    for (const std::string value : {"2.5", "1e10", "nan"}) {
+      try {
+        (void)ckpt::parse_hierarchy("local;pfs," + key + "=" + value);
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("level 1"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(value), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
 // ---- Validation rejections -------------------------------------------------
 
 ckpt::HierarchyParams two_level() {

@@ -1,10 +1,5 @@
 // redcr_cli — command-line front end to the library.
 //
-//   redcr_cli model    [machine/job flags] [--r R | --optimize]
-//   redcr_cli sweep    [machine/job flags] [--step S]
-//   redcr_cli run      [cluster flags] --workload W --redundancy R ...
-//                      [--trace-out FILE] [--metrics-out FILE]
-//
 // `model` evaluates the paper's combined model at one degree (or finds the
 // optimum); `sweep` prints the full degree sweep with crossovers; `run`
 // (alias: `simulate`) runs an actual job on the discrete-event cluster and
@@ -12,25 +7,16 @@
 // Chrome trace-event JSON (open in Perfetto / chrome://tracing) and an
 // NDJSON metrics dump of the run.
 //
-// Run with --help (or no arguments) for the full flag list.
-#include <cmath>
+// Run with --help (or no arguments) for the flags, which cli_inputs.cpp
+// declares.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <map>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/cg.hpp"
-#include "apps/master_worker.hpp"
-#include "apps/serve.hpp"
-#include "apps/spectral.hpp"
-#include "apps/stencil.hpp"
-#include "apps/synthetic.hpp"
+#include "cli_inputs.hpp"
 #include "redcr/redcr.hpp"
 #include "util/table.hpp"
 
@@ -39,78 +25,6 @@ namespace {
 using namespace redcr;
 using util::fmt;
 using util::fmt_count;
-
-/// Strict number parse: the whole of `text` must be one (atof would read
-/// "abc" as 0 and "5x" as 5). Throws std::invalid_argument naming `what`.
-double parse_number(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    throw std::invalid_argument(what + ": '" + text + "' is not a number");
-  return value;
-}
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
-        std::exit(2);
-      }
-      key = key.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "1";  // boolean flag
-      }
-    }
-  }
-
-  [[nodiscard]] double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : parse_number(it->second, "--" + key);
-  }
-  /// --jobs N|auto; "auto", 0 and absence all mean every hardware core
-  /// (the exp::BenchArgs encoding).
-  [[nodiscard]] int jobs() const {
-    if (text("jobs", "auto") == "auto") return 0;
-    const double jobs = number("jobs", 0);
-    if (!(jobs >= 0.0 && jobs <= 1 << 24) || jobs != std::floor(jobs))
-      throw std::invalid_argument("--jobs must be a count or 'auto', got " +
-                                  text("jobs", ""));
-    return static_cast<int>(jobs);
-  }
-  [[nodiscard]] std::string text(const std::string& key,
-                                 const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool flag(const std::string& key) const {
-    return values_.count(key) > 0;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-model::CombinedConfig model_config(const Flags& flags) {
-  // Checked before the size_t cast, which is undefined for negative values.
-  const double procs = flags.number("procs", 50000);
-  if (!(procs >= 1.0 && procs <= 1e15))
-    throw std::invalid_argument("--procs must be in [1, 1e15], got " +
-                                flags.text("procs", ""));
-  return redcr::scenario()
-      .node_mtbf(util::years(flags.number("mtbf-years", 5)))
-      .checkpoint_cost(flags.number("ckpt-sec", 600))
-      .restart_cost(flags.number("restart-sec", 1800))
-      .base_time(util::hours(flags.number("hours", 128)))
-      .comm_fraction(flags.number("alpha", 0.2))
-      .processes(static_cast<std::size_t>(procs))
-      .build();
-}
 
 void print_prediction(const model::Prediction& p) {
   std::printf("degree r             : %.3fx\n", p.r);
@@ -126,9 +40,9 @@ void print_prediction(const model::Prediction& p) {
   std::printf("TOTAL WALLCLOCK      : %.2f h\n", util::to_hours(p.total_time));
 }
 
-int cmd_model(const Flags& flags) {
-  const model::CombinedConfig cfg = model_config(flags);
-  if (flags.flag("optimize")) {
+int cmd_model(const cli::ModelInputs& in) {
+  const model::CombinedConfig cfg = in.scenario.build();
+  if (in.optimize) {
     const model::Optimum best = model::optimize_redundancy(cfg);
     std::printf("optimal configuration:\n");
     print_prediction(best.prediction);
@@ -139,91 +53,18 @@ int cmd_model(const Flags& flags) {
                 100 * interval.daly_penalty);
     return 0;
   }
-  // predict() only asserts its domain; the simulator's degree range
-  // [1, 8] is the one the CLI accepts.
-  const double r = flags.number("r", 2.0);
-  if (!(r >= 1.0 && r <= 8.0))
-    throw std::invalid_argument("--r must be a degree in [1, 8], got " +
-                                flags.text("r", ""));
-  print_prediction(model::predict(cfg, r));
+  print_prediction(model::predict(cfg, in.r));
   return 0;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-// Model-side hierarchy knobs for `sweep`: --ml-levels "p:fetch[:stale];..."
-// (fastest level first), --flush-cost / --flush-period, --async-flush with
-// --exposed. Throws std::invalid_argument naming the bad knob.
-model::UnreliableCkptParams unreliable_sweep_params(const Flags& flags) {
-  model::UnreliableCkptParams u;
-  const std::string spec = flags.text("ml-levels", "");
-  if (!spec.empty()) {
-    for (const std::string& part : split(spec, ';')) {
-      const std::vector<std::string> fields = split(part, ':');
-      if (fields.size() < 2 || fields.size() > 3)
-        throw std::invalid_argument(
-            "--ml-levels: expected 'prob:fetch_sec[:staleness_periods]' per "
-            "';'-separated level, got '" +
-            part + "'");
-      model::UnreliableCkptParams::LevelRecovery level;
-      level.recovery_prob = parse_number(fields[0], "--ml-levels");
-      level.fetch_cost = parse_number(fields[1], "--ml-levels");
-      if (fields.size() == 3)
-        level.staleness_periods = parse_number(fields[2], "--ml-levels");
-      u.levels.push_back(level);
-    }
-  }
-  u.flush_cost = flags.number("flush-cost", 0.0);
-  u.flush_period = flags.number("flush-period", 1.0);
-  if (flags.flag("async-flush")) {
-    u.async_flush = true;
-    u.async_exposed_fraction = flags.number("exposed", 0.0);
-  }
-  u.validate();
-  return u;
-}
-
-int cmd_sweep(const Flags& flags) {
-  const model::CombinedConfig cfg = model_config(flags);
-  const double step = flags.number("step", 0.25);
-  // Bounded like serve's r_step, so a tiny step cannot allocate without end.
-  if (!(step > 0.0) || !std::isfinite(step) || 2.0 / step > 1e6)
-    throw std::invalid_argument("--step must be > 0 and give at most 1e6 "
-                                "degrees over [1, 3]");
-
-  // The sweep is the one campaign-shaped command: route it through the
-  // experiment harness so it gets --jobs/--json/--filter/--csv for free.
-  exp::BenchArgs args;
-  args.jobs = flags.jobs();
-  args.json = flags.flag("json");
-  args.filter = flags.text("filter", "");
-  args.keep_going = flags.flag("keep-going");
-  if (flags.flag("csv")) {
-    // Like BenchArgs: create DIR up front, or reject it before the sweep.
-    const std::string dir = flags.text("csv", "");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!std::filesystem::is_directory(dir, ec))
-      throw std::invalid_argument("--csv: cannot create directory '" + dir +
-                                  "'");
-    args.csv_dir = dir;
-  }
+int cmd_sweep(const cli::SweepInputs& in) {
+  const model::CombinedConfig cfg = in.scenario.build();
+  // The sweep is the one campaign-shaped command: it runs on the experiment
+  // harness, so it gets --jobs/--json/--filter/--csv for free.
+  const exp::BenchArgs& args = in.harness;
 
   exp::ParamGrid grid;
-  grid.axis("r", exp::ParamGrid::range(1.0, 3.0, step));
+  grid.axis("r", exp::ParamGrid::range(1.0, 3.0, in.step));
   const std::vector<exp::Trial> trials = grid.trials(args.filter);
 
   // Every cell is evaluated once through predict_unreliable, whose `base` is
@@ -232,12 +73,13 @@ int cmd_sweep(const Flags& flags) {
   // to the unreliable-C/R columns; without them the legacy columns (and
   // bytes) stay as they were. Under --keep-going the schema grows a status
   // column and a failing cell becomes a row instead of ending the sweep.
-  const bool unreliable = flags.flag("ml-levels") ||
-                          flags.flag("flush-cost") ||
-                          flags.flag("async-flush");
-  const model::UnreliableCkptParams u = unreliable
-                                            ? unreliable_sweep_params(flags)
-                                            : model::UnreliableCkptParams{};
+  const bool unreliable = in.hierarchy_terms;
+  model::UnreliableCkptParams u;
+  if (unreliable) {
+    u = in.unreliable;
+    if (!u.async_flush) u.async_exposed_fraction = 0.0;  // --exposed needs it
+    u.validate();
+  }
   std::vector<exp::Column> columns = {{"r"}, {"T_total [h]", "total_h"}};
   if (!unreliable) columns.push_back({"nodes"});
   columns.insert(columns.end(), {{"Theta_sys [h]", "theta_sys_h"},
@@ -321,125 +163,18 @@ int cmd_sweep(const Flags& flags) {
   return 0;
 }
 
-runtime::WorkloadFactory make_workload(const std::string& name,
-                                       const Flags& flags) {
-  if (name == "cg") {
-    apps::CgSpec spec;
-    spec.rows_per_rank =
-        static_cast<std::size_t>(flags.number("rows", 64));
-    spec.max_iterations = static_cast<long>(flags.number("iterations", 150));
-    spec.compute_per_iteration = flags.number("compute-sec", 5.0);
-    return [spec](int rank, int n) {
-      return std::make_unique<apps::CgSolver>(spec, rank, n);
-    };
-  }
-  if (name == "stencil") {
-    apps::StencilSpec spec;
-    spec.iterations = static_cast<long>(flags.number("iterations", 64));
-    spec.compute_per_iteration = flags.number("compute-sec", 5.0);
-    const int side = static_cast<int>(flags.number("grid-side", 2));
-    spec.grid = {side, side, side};
-    return [spec](int, int) { return std::make_unique<apps::Stencil3d>(spec); };
-  }
-  if (name == "spectral") {
-    apps::SpectralSpec spec;
-    spec.iterations = static_cast<long>(flags.number("iterations", 32));
-    spec.compute_per_iteration = flags.number("compute-sec", 5.0);
-    return [spec](int, int) {
-      return std::make_unique<apps::SpectralWorkload>(spec);
-    };
-  }
-  if (name == "masterworker") {
-    apps::MasterWorkerSpec spec;
-    spec.rounds = static_cast<long>(flags.number("iterations", 32));
-    spec.base_task_cost = flags.number("compute-sec", 1.0);
-    return [spec](int rank, int n) {
-      return std::make_unique<apps::MasterWorker>(spec, rank, n);
-    };
-  }
-  // default: the CG-shaped synthetic workload
-  apps::SyntheticSpec spec;
-  spec.iterations = static_cast<long>(flags.number("iterations", 92));
-  spec.compute_per_iteration = flags.number("compute-sec", 24.0);
-  spec.halo_bytes = flags.number("halo-bytes", 300e6);
-  return [spec](int, int) {
-    return std::make_unique<apps::SyntheticWorkload>(spec);
-  };
-}
-
-int cmd_simulate(const Flags& flags) {
-  runtime::JobConfig cfg;
-  cfg.num_virtual = static_cast<std::size_t>(flags.number("virtual", 32));
-  cfg.redundancy = flags.number("redundancy", 2.0);
-  cfg.network.bandwidth = flags.number("bandwidth", 100e6);
-  cfg.storage.bandwidth = flags.number("storage-bandwidth", 2e9);
-  cfg.image_bytes = flags.number("image-bytes", 1e9);
-  cfg.restart_cost = flags.number("restart-sec", 500);
-  cfg.fail.node_mtbf = util::hours(flags.number("mtbf-hours", 6));
-  cfg.fail.seed = static_cast<std::uint64_t>(flags.number("seed", 1));
-  cfg.fail.weibull_shape = flags.number("weibull-shape", 1.0);
-  cfg.replication = flags.text("protocol", "push") == "pull"
-                        ? runtime::Replication::kPull
-                        : runtime::Replication::kPush;
-  if (flags.flag("msg-plus-hash")) cfg.red.mode = red::Mode::kMsgPlusHash;
-  if (flags.flag("live")) {
-    cfg.live_failure_semantics = true;
-    cfg.checkpoint_enabled = false;
-  }
-  if (flags.flag("no-checkpoint")) cfg.checkpoint_enabled = false;
-  if (cfg.checkpoint_enabled)
-    cfg.checkpoint_interval = flags.number("interval-sec", 300);
-  if (flags.flag("no-failures")) cfg.inject_failures = false;
-  cfg.ckpt_forked = flags.flag("forked-checkpoint");
-  cfg.ckpt_incremental_fraction = flags.number("incremental-fraction", 1.0);
-
-  // Unreliable-C/R knobs. Defaults keep every probability at zero and the
-  // retention depth at one, which is byte-identical to the pre-fault
-  // pipeline (no extra events, no extra metrics, same stdout).
-  cfg.ckpt_faults.write_failure_prob =
-      flags.number("ckpt-write-failure-prob", 0.0);
-  cfg.ckpt_faults.corruption_prob = flags.number("ckpt-corruption-prob", 0.0);
-  cfg.ckpt_faults.restart_failure_prob =
-      flags.number("restart-failure-prob", 0.0);
-  cfg.ckpt_faults.seed = static_cast<std::uint64_t>(
-      flags.number("faults-seed", static_cast<double>(cfg.ckpt_faults.seed)));
-  // Silent-data-corruption injection. Defaults keep both rates at zero,
-  // which leaves every payload strain-free and the stdout byte-identical
-  // to an SDC-free build.
-  cfg.sdc.inflight_prob = flags.number("sdc-inflight-prob", 0.0);
-  cfg.sdc.atrest_rate = flags.number("sdc-atrest-rate", 0.0);
-  cfg.sdc.seed = static_cast<std::uint64_t>(
-      flags.number("sdc-seed", static_cast<double>(cfg.sdc.seed)));
-  cfg.ckpt_retention = static_cast<int>(flags.number("ckpt-retention", 1));
-  cfg.ckpt_write_retry.max_attempts = static_cast<int>(
-      flags.number("write-retries", cfg.ckpt_write_retry.max_attempts));
-  cfg.restart_retry.max_attempts = static_cast<int>(
-      flags.number("restart-retries", cfg.restart_retry.max_attempts));
-  // Presence-gated so an explicit bad value (negative, NaN) reaches
-  // RetryPolicy::validate instead of being mistaken for "not given".
-  if (flags.flag("retry-backoff")) {
-    const double backoff = flags.number("retry-backoff", 0.0);
-    cfg.ckpt_write_retry.backoff_base = backoff;
-    cfg.restart_retry.backoff_base = backoff;
-  }
-  if (flags.flag("retry-backoff-cap")) {
-    const double backoff_cap = flags.number("retry-backoff-cap", 0.0);
-    cfg.ckpt_write_retry.backoff_cap = backoff_cap;
-    cfg.restart_retry.backoff_cap = backoff_cap;
-  }
-
-  // Multi-level storage hierarchy. Absent --ckpt-levels runs the flat
-  // single-device store (and keeps its stdout byte-identical).
-  const std::string levels_spec = flags.text("ckpt-levels", "");
-  if (flags.flag("ckpt-levels")) {
+int cmd_simulate(const cli::RunInputs& in) {
+  runtime::JobConfig cfg = in.job;
+  if (cfg.checkpoint_enabled) cfg.checkpoint_interval = in.interval_sec;
+  if (in.ckpt_levels) {
     try {
-      cfg.hierarchy = ckpt::parse_hierarchy(levels_spec);
+      cfg.hierarchy = ckpt::parse_hierarchy(*in.ckpt_levels);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "redcr_cli: --ckpt-levels: %s\n", e.what());
       return 2;
     }
-    cfg.hierarchy.async_flush = flags.flag("async-flush");
-  } else if (flags.flag("async-flush")) {
+    cfg.hierarchy.async_flush = in.async_flush;
+  } else if (in.async_flush) {
     std::fprintf(stderr,
                  "redcr_cli: --async-flush requires --ckpt-levels with a "
                  "pfs level\n");
@@ -448,30 +183,11 @@ int cmd_simulate(const Flags& flags) {
 
   // run_job attaches the observability recorder when a sink is requested
   // and writes the exports after the run; main() already applied the log
-  // level, so the option block carries only the sinks here.
-  redcr::RunOptions options;
-  options.trace_out = flags.text("trace-out", "");
-  options.metrics_out = flags.text("metrics-out", "");
-  options.journal_out = flags.text("journal-out", "");
-  // Engine default: auto — fast-forward wherever bit-identity is provable,
-  // event otherwise (a --trace-out/--journal-out sink always falls back:
-  // the arithmetic skip produces no per-event output to record).
-  const std::string engine_name = flags.text("engine", "auto");
-  const std::optional<runtime::ExecMode> engine_mode =
-      runtime::parse_engine(engine_name);
-  if (!engine_mode) {
-    std::fprintf(stderr,
-                 "redcr_cli: invalid --engine '%s' (expected "
-                 "event|fastforward|auto)\n",
-                 engine_name.c_str());
-    return 2;
-  }
-  options.engine = *engine_mode;
-  runtime::WorkloadFactory workload =
-      make_workload(flags.text("workload", "synthetic"), flags);
+  // level, so the option block carries only the sinks and the engine.
+  const redcr::RunOptions& options = in.options;
   runtime::JobReport report;
   try {
-    report = redcr::run_job(cfg, std::move(workload), options);
+    report = redcr::run_job(cfg, in.workload_factory(), options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "redcr_cli: %s\n", e.what());
     return 1;
@@ -580,8 +296,8 @@ std::string read_text(const std::string& path) {
   return text;
 }
 
-int cmd_analyze(const Flags& flags) {
-  const std::string path = flags.text("journal", "");
+int cmd_analyze(const cli::AnalyzeInputs& in) {
+  const std::string& path = in.journal;
   if (path.empty()) {
     std::fprintf(
         stderr,
@@ -599,8 +315,8 @@ int cmd_analyze(const Flags& flags) {
 
   // Run-diff triage: exit 0 when the journals are event-identical, 1 with
   // the first divergent event (plus causal context) otherwise.
-  if (flags.flag("diff")) {
-    const std::string diff_path = flags.text("diff", "");
+  if (in.diff) {
+    const std::string& diff_path = *in.diff;
     std::vector<obs::Journal::Event> other;
     try {
       other = obs::parse_journal(read_text(diff_path));
@@ -614,16 +330,16 @@ int cmd_analyze(const Flags& flags) {
     return result.identical ? 0 : 1;
   }
 
-  const bool want_levels = flags.flag("levels");
-  const bool want_blame = flags.flag("blame") || !want_levels;  // the default
+  const bool want_levels = in.levels;
+  const bool want_blame = in.blame || !want_levels;  // the default
   if (want_blame) {
     const obs::BlameReport report = obs::blame(events);
     obs::BlameOptions options;
-    options.top_k = static_cast<int>(flags.number("top", 10));
+    options.top_k = in.top;
     // Predicted-waste columns at the journal's observed δ, c, R — skipped
     // when the journal carries no interval (checkpointing off) or the user
     // asked for attribution only.
-    if (!flags.flag("no-model") && report.summary.interval > 0.0) {
+    if (!in.no_model && report.summary.interval > 0.0) {
       const model::FailureWaste waste = model::predicted_failure_waste(
           report.summary.interval, report.summary.mean_ckpt_cost,
           report.summary.restart_cost);
@@ -650,30 +366,11 @@ int cmd_analyze(const Flags& flags) {
 // redcr::Planner (apps::serve_replay). Responses go to stdout (pipe-pure,
 // deterministic bytes — golden-diffable); the qps/latency report and the
 // planner.* metrics NDJSON go to stderr.
-int cmd_serve(const Flags& flags) {
-  const std::string path = flags.text("replay", "");
+int cmd_serve(const cli::ServeInputs& in) {
+  const std::string& path = in.replay;
   if (path.empty()) {
     std::fprintf(stderr,
                  "redcr_cli serve: --replay FILE is required ('-' = stdin)\n");
-    return 2;
-  }
-  apps::ServeOptions options;
-  options.jobs = flags.jobs();
-  // Checked before the size_t cast, which is undefined for negative, NaN
-  // and huge values. 0 means an unbounded cache (no eviction).
-  const double cache = flags.number("cache", 256);
-  if (!(cache >= 0.0 && cache <= 1e15) || cache != std::floor(cache))
-    throw std::invalid_argument(
-        "--cache must be a whole number in [0, 1e15] (0 = no eviction), "
-        "got " + flags.text("cache", ""));
-  options.cache_capacity = static_cast<std::size_t>(cache);
-  const std::string mode = flags.text("mode", "fast");
-  if (mode == "exact") {
-    options.mode = model::EvalMode::kExact;
-  } else if (mode != "fast") {
-    std::fprintf(stderr,
-                 "redcr_cli serve: invalid --mode '%s' (expected fast|exact)\n",
-                 mode.c_str());
     return 2;
   }
   std::string requests;
@@ -681,7 +378,7 @@ int cmd_serve(const Flags& flags) {
   apps::ServeReport report;
   try {
     requests = read_text(path);
-    report = apps::serve_replay(requests, responses, options);
+    report = apps::serve_replay(requests, responses, in.options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "redcr_cli serve: %s: %s\n", path.c_str(), e.what());
     return 2;
@@ -694,43 +391,38 @@ int cmd_serve(const Flags& flags) {
   return 0;
 }
 
+/// "  redcr_cli <command> [--flag META (default)] ..." from the rows.
+template <class Inputs>
+void print_synopsis(const char* command, util::FlagSet (*flags_of)(Inputs&)) {
+  Inputs unused;
+  char head[32];
+  std::snprintf(head, sizeof head, "  redcr_cli %-8s ", command);
+  std::printf("%s%s", head,
+              flags_of(unused).synopsis(std::string(head).size()).c_str());
+}
+
+util::FlagSet global_flags(std::optional<util::LogLevel>& log_level) {
+  return {exp::log_level_knob(log_level)};
+}
+
 void usage() {
   std::printf(
-      "redcr_cli — combined partial redundancy + checkpointing toolkit\n\n"
-      "  redcr_cli model    --procs N --hours T --mtbf-years Y --alpha A\n"
-      "                     --ckpt-sec C --restart-sec R (--r R | --optimize)\n"
-      "  redcr_cli sweep    [same machine flags] [--step 0.25] [--jobs N|auto]\n"
-      "                     [--json] [--filter 'r=2'] [--csv DIR]\n"
-      "                     [--keep-going]\n"
-      "                     [--ml-levels 'p:fetch[:stale];...'] [--flush-cost C]\n"
-      "                     [--flush-period M] [--async-flush] [--exposed F]\n"
-      "  redcr_cli run      --virtual N --redundancy R --mtbf-hours H\n"
-      "                     [--workload synthetic|cg|stencil|spectral|masterworker]\n"
-      "                     [--protocol push|pull] [--msg-plus-hash] [--live]\n"
-      "                     [--no-checkpoint] [--no-failures] [--seed S]\n"
-      "                     [--forked-checkpoint] [--incremental-fraction F]\n"
-      "                     [--weibull-shape K] [--interval-sec D]\n"
-      "                     [--ckpt-write-failure-prob P] [--ckpt-corruption-prob P]\n"
-      "                     [--restart-failure-prob P] [--faults-seed S]\n"
-      "                     [--ckpt-retention D] [--write-retries N]\n"
-      "                     [--restart-retries N] [--retry-backoff B]\n"
-      "                     [--retry-backoff-cap C]\n"
-      "                     [--sdc-inflight-prob P] [--sdc-atrest-rate R]\n"
-      "                     [--sdc-seed S]\n"
-      "                     [--ckpt-levels SPEC] [--async-flush]\n"
-      "                     [--engine event|fastforward|auto]\n"
-      "                     [--trace-out FILE] [--metrics-out FILE]\n"
-      "                     [--journal-out FILE]\n"
-      "                     (alias: simulate)\n"
-      "  redcr_cli analyze  --journal FILE [--blame] [--levels] [--top K]\n"
-      "                     [--no-model] [--diff FILE2]\n"
-      "  redcr_cli serve    --replay FILE [--jobs N|auto] [--cache N]\n"
-      "                     [--mode fast|exact]\n\n"
+      "redcr_cli — combined partial redundancy + checkpointing toolkit\n\n");
+  print_synopsis("model", cli::model_flags);
+  print_synopsis("sweep", cli::sweep_flags);
+  print_synopsis("run", cli::run_flags);
+  std::printf("%21s(alias: simulate)\n", "");
+  print_synopsis("analyze", cli::analyze_flags);
+  print_synopsis("serve", cli::serve_flags);
+  print_synopsis("<any>", global_flags);
+  std::printf(
+      "\n"
       "Serving: `serve --replay FILE` replays an NDJSON query log (one\n"
       "scenario per line, keys id/procs/hours/alpha/mtbf_years/ckpt_sec/\n"
-      "restart_sec/r_min/r_max/r_step, all optional with `model`-flag\n"
-      "defaults) through the plan-cached redcr::Planner and prints one\n"
-      "NDJSON response per request on stdout — best_r, total_hours, nodes,\n"
+      "restart_sec/r_min/r_max/r_step, all optional; the scenario keys are\n"
+      "the `model` flags with '_' for '-', defaults and ranges included)\n"
+      "through the plan-cached redcr::Planner and prints one NDJSON\n"
+      "response per request on stdout — best_r, total_hours, nodes,\n"
       "interval_min, system_mtbf_hours, expected_failures, from_cache —\n"
       "deterministic bytes at any --jobs level. --cache N bounds the plan\n"
       "cache at N entries (default 256; 0 = no eviction). The qps/latency\n"
@@ -788,11 +480,34 @@ void usage() {
       "event engine elsewhere; fastforward warns when it must fall back;\n"
       "event pins the full discrete-event simulation. Reports are\n"
       "bit-identical across engines for every supported configuration.\n\n"
-      "Global: [--log-level debug|info|warn|error|off]  (or REDCR_LOG_LEVEL\n"
-      "env var; the flag wins). --trace-out writes Chrome trace-event JSON\n"
-      "(open in Perfetto or chrome://tracing); --metrics-out writes one\n"
-      "JSON object per metric, newline-delimited; --journal-out writes the\n"
-      "causal event journal, one event per line. Use '-' for stdout.\n");
+      "Global: --log-level, or the REDCR_LOG_LEVEL env var (the flag wins).\n"
+      "--trace-out writes Chrome trace-event JSON (open in Perfetto or\n"
+      "chrome://tracing); --metrics-out writes one JSON object per metric,\n"
+      "newline-delimited; --journal-out writes the causal event journal, one\n"
+      "event per line. Use '-' for stdout.\n\n"
+      "Exit codes: bad input exits 2 (an unknown flag, a missing value, a\n"
+      "value after a switch, a value outside its domain, or one the model\n"
+      "rejects); `run` exits 1 when the simulator rejects its config or the\n"
+      "job does not complete.\n");
+}
+
+/// Parses `command`'s flags and the global --log-level from argv[2..],
+/// applies the log level and runs `body`.
+template <class Inputs>
+int run_command(int argc, char** argv, util::FlagSet (*flags_of)(Inputs&),
+                int (*body)(const Inputs&)) {
+  Inputs in;
+  std::optional<util::LogLevel> log_level;
+  util::FlagSet flags = flags_of(in);
+  flags.add(global_flags(log_level));
+  if (!flags.parse(argc, argv, 2)) {
+    usage();
+    return 0;
+  }
+  // Env first, explicit flag last, so --log-level wins.
+  util::init_log_level_from_env();
+  if (log_level) util::set_log_level(*log_level);
+  return body(in);
 }
 
 }  // namespace
@@ -803,29 +518,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
-  // Env first, explicit flag last, so --log-level wins.
-  util::init_log_level_from_env();
-  const std::string log_level = flags.text("log-level", "");
-  if (!log_level.empty()) {
-    const auto level = util::parse_log_level(log_level);
-    if (!level) {
-      std::fprintf(stderr,
-                   "redcr_cli: invalid --log-level '%s' "
-                   "(expected debug|info|warn|error|off)\n",
-                   log_level.c_str());
-      return 2;
-    }
-    util::set_log_level(*level);
-  }
-  // An invalid_argument that escapes a command is bad input: a flag that is
-  // not a number, or a value the model or harness rejects.
+  // An invalid_argument that escapes is bad input: a flag outside its
+  // domain, or a value the model or harness rejects.
   try {
-    if (command == "model") return cmd_model(flags);
-    if (command == "sweep") return cmd_sweep(flags);
-    if (command == "run" || command == "simulate") return cmd_simulate(flags);
-    if (command == "analyze") return cmd_analyze(flags);
-    if (command == "serve") return cmd_serve(flags);
+    if (command == "model")
+      return run_command(argc, argv, cli::model_flags, cmd_model);
+    if (command == "sweep")
+      return run_command(argc, argv, cli::sweep_flags, cmd_sweep);
+    if (command == "run" || command == "simulate")
+      return run_command(argc, argv, cli::run_flags, cmd_simulate);
+    if (command == "analyze")
+      return run_command(argc, argv, cli::analyze_flags, cmd_analyze);
+    if (command == "serve")
+      return run_command(argc, argv, cli::serve_flags, cmd_serve);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "redcr_cli %s: %s\n", command.c_str(), e.what());
     return 2;
