@@ -123,7 +123,8 @@ run_ff_cell "3-level async flush" --ckpt-levels "$LEVELS_FF" --async-flush
 echo "=== ci.sh: fast-forward differential smoke ==="
 # The bit-identity contract, end to end through the CLI: the same cell run
 # with --engine event and --engine fastforward must print byte-identical
-# reports. One flat cell and one three-level async cell.
+# reports. Flat cells under exponential and Weibull (k = 0.7 infant
+# mortality, k = 2 wear-out) failures, and one three-level async cell.
 FF_DIR="$(mktemp -d)"
 run_ff_diff_cell() {
   local name="$1"
@@ -141,6 +142,8 @@ run_ff_diff_cell() {
     || { echo "ci.sh: fast-forward report diverged ($name)" >&2; exit 1; }
 }
 run_ff_diff_cell "flat"
+run_ff_diff_cell "flat, Weibull k=0.7" --weibull-shape 0.7
+run_ff_diff_cell "flat, Weibull k=2" --weibull-shape 2
 run_ff_diff_cell "3-level async flush" --ckpt-levels "$LEVELS_FF" --async-flush
 rm -rf "$FF_DIR"
 

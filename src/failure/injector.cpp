@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -67,36 +66,81 @@ FailureInjector::FailureInjector(const red::ReplicaMap& map,
 
 std::vector<sim::Time> FailureInjector::draw_failure_times(
     std::uint64_t episode) const {
+  std::vector<sim::Time> times;
+  draw_failure_times(episode, times);
+  return times;
+}
+
+void FailureInjector::draw_failure_times(std::uint64_t episode,
+                                         std::vector<sim::Time>& times) const {
   util::Xoshiro256ss root(params_.seed);
   util::Xoshiro256ss episode_stream = root.split(episode);
   // Weibull with mean θ: scale λ = θ / Γ(1 + 1/k); draw λ(-ln(1-u))^{1/k}.
-  // For k = 1 this is exactly the exponential inverse CDF.
+  // For k = 1 this is exactly the exponential inverse CDF, and pow is
+  // skipped: glibc's pow is accurate to under 1 ULP, so pow(x, 1.0) is x
+  // itself and the draws stay bit-identical.
   const double k = params_.weibull_shape;
-  const double scale = params_.node_mtbf / std::tgamma(1.0 + 1.0 / k);
-  std::vector<sim::Time> times(map_->num_physical());
+  const double exponent = 1.0 / k;
+  const double scale = params_.node_mtbf / std::tgamma(1.0 + exponent);
+  times.resize(map_->num_physical());
   for (std::size_t p = 0; p < times.size(); ++p) {
     // Independent per-node stream: results do not depend on how many draws
     // other nodes consume.
     util::Xoshiro256ss node_stream = episode_stream.split(p);
-    const double u = node_stream.uniform01();
-    times[p] = scale * std::pow(-std::log1p(-u), 1.0 / k);
+    const double x = -std::log1p(-node_stream.uniform01());
+    times[p] = scale * (exponent == 1.0 ? x : std::pow(x, exponent));
   }
-  return times;
+}
+
+void FailureSchedule::build(const red::ReplicaMap& map,
+                            std::span<const sim::Time> times) {
+  assert(times.size() == map.num_physical());
+  // Firing order: by time, equal times by physical rank.
+  const auto fires_before = [&](std::size_t a, std::size_t b) {
+    return times[a] != times[b] ? times[a] < times[b] : a < b;
+  };
+  // A sphere dies with its last replica; the job with the first such death.
+  std::size_t killer = 0;
+  for (std::size_t v = 0; v < map.num_virtual(); ++v) {
+    const auto replicas = map.replicas(static_cast<Rank>(v));
+    auto last = static_cast<std::size_t>(replicas.front());
+    for (const Rank p : replicas.subspan(1)) {
+      if (fires_before(last, static_cast<std::size_t>(p)))
+        last = static_cast<std::size_t>(p);
+    }
+    if (v == 0 || fires_before(last, killer)) killer = last;
+  }
+  failures_.clear();
+  for (std::size_t p = 0; p < times.size(); ++p) {
+    if (!fires_before(killer, p))
+      failures_.push_back(Failure{times[p], static_cast<Rank>(p)});
+  }
+  std::sort(failures_.begin(), failures_.end(),
+            [](const Failure& a, const Failure& b) {
+              return a.time != b.time ? a.time < b.time : a.rank < b.rank;
+            });
+  sphere_ = map.virtual_of(static_cast<Rank>(killer));
+}
+
+void FailureInjector::schedule(std::uint64_t episode,
+                               std::vector<sim::Time>& times,
+                               FailureSchedule& out) const {
+  draw_failure_times(episode, times);
+  out.build(*map_, times);
+}
+
+FailureSchedule FailureInjector::schedule(const red::ReplicaMap& map,
+                                          std::span<const sim::Time> times) {
+  FailureSchedule out;
+  out.build(map, times);
+  return out;
 }
 
 std::optional<JobFailure> FailureInjector::first_sphere_death(
-    const red::ReplicaMap& map, const std::vector<sim::Time>& times) {
-  assert(times.size() == map.num_physical());
-  std::optional<JobFailure> earliest;
-  for (std::size_t v = 0; v < map.num_virtual(); ++v) {
-    // A sphere dies when its *last* replica dies.
-    sim::Time death = 0.0;
-    for (const Rank p : map.replicas(static_cast<Rank>(v)))
-      death = std::max(death, times[static_cast<std::size_t>(p)]);
-    if (!earliest || death < earliest->time)
-      earliest = JobFailure{death, static_cast<Rank>(v)};
-  }
-  return earliest;
+    const red::ReplicaMap& map, std::span<const sim::Time> times) {
+  const FailureSchedule order = schedule(map, times);
+  if (order.failures().empty()) return std::nullopt;
+  return JobFailure{order.failures().back().time, order.sphere()};
 }
 
 sim::Task FailureInjector::run(sim::Engine& engine, SphereMonitor& monitor,
@@ -104,20 +148,16 @@ sim::Task FailureInjector::run(sim::Engine& engine, SphereMonitor& monitor,
                                std::function<bool()> protected_phase,
                                std::function<void(JobFailure)> on_job_failure,
                                std::function<void(Rank)> on_replica_death) {
-  // Sort upcoming failures by time; walk them in order.
-  const std::vector<sim::Time> times = draw_failure_times(episode);
-  std::vector<std::size_t> order(times.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return times[a] != times[b] ? times[a] < times[b] : a < b;
-  });
+  // Walk the upcoming failures in firing order; the last one kills the job.
+  const FailureSchedule order = schedule(*map_, draw_failure_times(episode));
 
   // Granularity of the "wait for the protected phase to end" poll; far
   // below any checkpoint duration, far above the network timescale.
   constexpr sim::Time kPhasePoll = 0.25;
 
-  for (const std::size_t p : order) {
-    const sim::Time when = times[p];
+  for (const Failure& failure : order.failures()) {
+    const sim::Time when = failure.time;
+    const Rank p = failure.rank;
     if (when > engine.now())
       co_await sim::delay(engine, when - engine.now());
     if (!params_.inject_during_checkpoint && protected_phase) {
@@ -128,10 +168,10 @@ sim::Task FailureInjector::run(sim::Engine& engine, SphereMonitor& monitor,
       if (deferred && recorder_ != nullptr)
         recorder_->add("failure.deferred");
     }
-    const bool sphere_died = monitor.mark_dead(static_cast<Rank>(p));
+    const bool sphere_died = monitor.mark_dead(p);
     if (recorder_ != nullptr) {
       recorder_->instant("replica-death", "failure",
-                         obs::rank_pid(static_cast<int>(p)), engine.now());
+                         obs::rank_pid(p), engine.now());
       recorder_->add("failure.replica_deaths");
     }
     if (journal_ != nullptr) {
@@ -139,12 +179,12 @@ sim::Task FailureInjector::run(sim::Engine& engine, SphereMonitor& monitor,
       ev.t = engine.now();
       ev.type = "replica-death";
       ev.episode = static_cast<int>(episode);
-      ev.rank = static_cast<int>(p);
+      ev.rank = p;
       journal_->append(std::move(ev));
     }
-    if (on_replica_death) on_replica_death(static_cast<Rank>(p));
+    if (on_replica_death) on_replica_death(p);
     if (sphere_died) {
-      const Rank sphere = map_->virtual_of(static_cast<Rank>(p));
+      const Rank sphere = map_->virtual_of(p);
       if (recorder_ != nullptr) {
         recorder_->instant("sphere-death", "failure", obs::kJobPid,
                            engine.now());
@@ -158,7 +198,7 @@ sim::Task FailureInjector::run(sim::Engine& engine, SphereMonitor& monitor,
         ev.t = engine.now();
         ev.type = "sphere-death";
         ev.episode = static_cast<int>(episode);
-        ev.rank = static_cast<int>(p);
+        ev.rank = p;
         ev.sphere = static_cast<int>(sphere);
         cause = journal_->append(std::move(ev));
       }

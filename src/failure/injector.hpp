@@ -8,7 +8,8 @@
 // it sleeps until each failure instant, marks the physical process dead in
 // the sphere monitor, and reports a *job* failure as soon as every replica
 // of some virtual process (sphere) is dead — failures of single replicas do
-// not interrupt the application (Fig. 7).
+// not interrupt the application (Fig. 7). The walk reads one
+// FailureSchedule, and so does the fast-forward driver's replay of it.
 //
 // Matching the paper's experimental condition, failures are (optionally)
 // deferred while a checkpoint is in progress (`protected_phase` hook);
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/journal.hpp"
@@ -88,6 +90,37 @@ struct JobFailure {
   std::uint64_t cause = 0;
 };
 
+/// One physical process's failure.
+struct Failure {
+  sim::Time time = 0.0;
+  Rank rank = -1;
+};
+
+/// An episode's failures in (time, physical rank) order — the injector's
+/// firing order — up to and including the first one that completes a
+/// sphere. That failure kills the job and ends the walk, so nothing past it
+/// is ever read. Built in O(n): one pass takes the minimum over spheres of
+/// each sphere's last replica, a second collects the failures at or before
+/// it, and only those (a few, when failures are frequent) are sorted.
+class FailureSchedule {
+ public:
+  /// Rebuilds the schedule of `times` (first failure time by physical
+  /// rank, one per rank of `map`), reusing this schedule's storage.
+  void build(const red::ReplicaMap& map, std::span<const sim::Time> times);
+
+  /// The failures in firing order; the last one kills the job. Empty only
+  /// before the first build().
+  [[nodiscard]] std::span<const Failure> failures() const noexcept {
+    return failures_;
+  }
+  /// The sphere the last failure completes.
+  [[nodiscard]] Rank sphere() const noexcept { return sphere_; }
+
+ private:
+  std::vector<Failure> failures_;
+  Rank sphere_ = -1;
+};
+
 class FailureInjector {
  public:
   FailureInjector(const red::ReplicaMap& map, FailureParams params);
@@ -96,12 +129,25 @@ class FailureInjector {
   /// indexed by physical rank. Deterministic in (seed, episode).
   [[nodiscard]] std::vector<sim::Time> draw_failure_times(
       std::uint64_t episode) const;
+  /// The same draws into `times`, resized to one per physical rank.
+  void draw_failure_times(std::uint64_t episode,
+                          std::vector<sim::Time>& times) const;
 
-  /// Closed-form episode analysis (no engine needed): the earliest sphere
-  /// death implied by `times`, if any sphere dies at all. Used by the
-  /// fast-path harness and to cross-check the simulated injector.
+  /// The episode's failure schedule: its draws (into `times`, scratch)
+  /// ordered into `out`. Both keep their storage across calls, so a caller
+  /// that walks many episodes allocates once.
+  void schedule(std::uint64_t episode, std::vector<sim::Time>& times,
+                FailureSchedule& out) const;
+  /// The schedule of hand-built `times` (indexed by physical rank).
+  [[nodiscard]] static FailureSchedule schedule(
+      const red::ReplicaMap& map, std::span<const sim::Time> times);
+
+  /// Closed-form episode analysis (no engine needed): the time and sphere
+  /// of the job failure implied by `times` — the last failure of their
+  /// schedule, so equal death times go to the sphere whose last replica
+  /// fires first. Used to cross-check the simulated injector.
   [[nodiscard]] static std::optional<JobFailure> first_sphere_death(
-      const red::ReplicaMap& map, const std::vector<sim::Time>& times);
+      const red::ReplicaMap& map, std::span<const sim::Time> times);
 
   /// The background injector process. Marks failures in `monitor` as they
   /// occur; on sphere death invokes `on_job_failure` (which typically stops

@@ -66,7 +66,7 @@ FastForwardDriver::FastForwardDriver(const JobConfig& config,
     : config_(config),
       map_(map),
       factory_(factory),
-      schedule_(map, config.fail),
+      injector_(map, config.fail),
       pristine_(make_storage(config, static_cast<int>(map.num_physical()))),
       period_(routing_classes(pristine_.params())) {
   prototypes_.resize(static_cast<std::size_t>(std::max(period_, 1)));
@@ -242,28 +242,20 @@ std::optional<EpisodeResult> FastForwardDriver::try_episode(
   };
 
   // --- The injector's event walk, replayed arithmetically -----------------
-  // Bitwise replica of FailureInjector::run: same draw, same sort, the same
+  // FailureInjector::run's walk over the same schedule, with the same
   // `now + (when - now)` delay landings and 0.25 s protected-phase polls.
-  const std::vector<sim::Time> times =
-      schedule_.draw_failure_times(episode_index);
-  std::vector<std::size_t> order(times.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return times[a] != times[b] ? times[a] < times[b] : a < b;
-  });
+  injector_.schedule(episode_index, times_, schedule_);
+  const auto failures = schedule_.failures();
   // A death at t = 0 would interleave with the spawn burst by sequence
   // number; the walk cannot reproduce that ordering.
-  if (!(times[order.front()] > 0.0)) return std::nullopt;
+  if (!(failures.front().time > 0.0)) return std::nullopt;
 
   constexpr sim::Time kPhasePoll = 0.25;  // injector.cpp's poll granularity
-  failure::SphereMonitor mon(map_);
   double t = 0.0;
   std::uint64_t injector_events = 1;  // the spawn's resume at t = 0
-  std::optional<failure::JobFailure> death;
-  for (const std::size_t idx : order) {
-    const sim::Time when = times[idx];
-    if (when > t) {
-      t = t + (when - t);  // exact float replica of schedule_after
+  for (const failure::Failure& f : failures) {
+    if (f.time > t) {
+      t = t + (f.time - t);  // exact float replica of schedule_after
       ++injector_events;
       if (!landing_ok(t)) return std::nullopt;
     }
@@ -274,27 +266,18 @@ std::optional<EpisodeResult> FastForwardDriver::try_episode(
         if (!landing_ok(t)) return std::nullopt;
       }
     }
-    if (mon.mark_dead(static_cast<red::Rank>(idx))) {
-      death.emplace();
-      death->time = t;
-      death->sphere = map_.virtual_of(static_cast<red::Rank>(idx));
-      death->cause = 0;  // no journal under the supported-config gate
-      break;
-    }
   }
-  // No sphere died: the episode completes, and a completing episode's tail
-  // (rank finishes, terminal flush drain) is not a prototype prefix query
-  // we can bound — the event engine replays it.
-  if (!death) return std::nullopt;
 
   // --- Reconstruction: the killed episode's result, field by field --------
-  const double kill = death->time;
+  // The last failure completes a sphere, so the job dies where the walk
+  // ends (cause 0: no journal under the supported-config gate).
+  const double kill = t;
   const long shift = start_iteration;
   const auto num_physical = static_cast<int>(map_.num_physical());
 
   EpisodeResult res;
   res.finished = false;
-  res.failure = death;
+  res.failure = failure::JobFailure{kill, schedule_.sphere(), 0};
   res.elapsed = kill;
 
   const auto& closes = p.probe.closes;
@@ -366,16 +349,14 @@ std::optional<EpisodeResult> FastForwardDriver::try_episode(
     res.snapshot.iteration += shift;
   }
   res.dead_ranks.assign(static_cast<std::size_t>(num_physical), 0);
-  for (int r = 0; r < num_physical; ++r) {
-    if (mon.is_dead(static_cast<red::Rank>(r)))
-      res.dead_ranks[static_cast<std::size_t>(r)] = 1;
-  }
+  for (const failure::Failure& f : failures)
+    res.dead_ranks[static_cast<std::size_t>(f.rank)] = 1;
   res.level_writes.reserve(p.level_write_logs.size());
   for (const auto& log : p.level_write_logs)
     res.level_writes.push_back(count_before(log, kill));
   res.level_write_failures.assign(p.level_write_logs.size(), 0);
 
-  res.physical_failures = mon.dead_processes();
+  res.physical_failures = failures.size();
   res.messages = count_before(p.messages_log, kill);
   res.events = count_before(p.engine_log, kill) + injector_events;
   {

@@ -8,10 +8,10 @@
 // resumed at iteration S executes hooks S..total-1, and its k-th hook lands
 // at the prototype's k-th hook time. The fast-forward driver exploits this:
 //
-//  1. It samples each sphere's next death directly from the FaultProcess /
-//     injector schedule, replaying the injector's event walk arithmetically
-//     (the same delay and poll-granularity float operations, so the kill
-//     instant is bit-identical);
+//  1. It reads the episode's failures from the injector's own
+//     FailureSchedule and replays the injector's event walk over them
+//     arithmetically (the same delay and poll-granularity float
+//     operations, so the kill instant is bit-identical);
 //  2. it answers the walk's "in a checkpoint at t?" queries and
 //     reconstructs the killed episode's full EpisodeResult — checkpoint
 //     charges, the generation commits the prototype recorded before the
@@ -84,8 +84,11 @@ class FastForwardDriver {
   const JobConfig& config_;
   const red::ReplicaMap& map_;
   const WorkloadFactory& factory_;
-  /// Pure failure-schedule oracle (never spawned; draw_failure_times only).
-  failure::FailureInjector schedule_;
+  /// Failure-schedule oracle (never spawned; schedule() only).
+  failure::FailureInjector injector_;
+  /// Per-episode scratch: the draws and their schedule, reused.
+  std::vector<sim::Time> times_;
+  failure::FailureSchedule schedule_;
   /// An empty store of the job's shape; each prototype commits into its own
   /// copy.
   const ckpt::StorageHierarchy pristine_;

@@ -30,13 +30,15 @@ class Comm {
   virtual Request irecv(Rank src, int tag) = 0;
 
   // --- Blocking convenience wrappers -------------------------------------
+  // Each posts its request at the call and returns an awaiter on it, so it
+  // must be awaited at once: `co_await comm.send(...)`.
 
-  sim::CoTask<void> send(Rank dst, int tag, Payload payload) {
-    co_await wait(isend(dst, tag, std::move(payload)));
+  RequestAwaiter<void> send(Rank dst, int tag, Payload payload) {
+    return RequestAwaiter<void>{isend(dst, tag, std::move(payload))};
   }
 
-  sim::CoTask<Message> recv(Rank src, int tag) {
-    co_return co_await wait(irecv(src, tag));
+  RequestAwaiter<Message> recv(Rank src, int tag) {
+    return RequestAwaiter<Message>{irecv(src, tag)};
   }
 
   /// Models `seconds` of local computation.

@@ -3,10 +3,12 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/cotask.hpp"
@@ -173,12 +175,33 @@ inline void attach_completion(const Request& request,
   }
 }
 
-/// Suspends until the request completes; returns the delivered message
+/// Awaiter on a request's completion event; co_await yields the delivered
+/// message when `Result` is Message and nothing when it is void. It holds
+/// the request itself, so a blocking call costs no coroutine frame of its
+/// own, and it resumes its awaiter exactly where a waiting coroutine would.
+template <typename Result>
+class [[nodiscard]] RequestAwaiter {
+ public:
+  explicit RequestAwaiter(Request request) noexcept
+      : request_(std::move(request)) {
+    assert(request_);
+  }
+  bool await_ready() const noexcept { return request_->done.triggered(); }
+  void await_suspend(std::coroutine_handle<> h) {
+    request_->done.wait().await_suspend(h);
+  }
+  Result await_resume() const {
+    if constexpr (!std::is_void_v<Result>) return request_->message;
+  }
+
+ private:
+  Request request_;
+};
+
+/// Suspends until the request completes; yields the delivered message
 /// (meaningful for receives; default-constructed for sends).
-inline sim::CoTask<Message> wait(Request request) {
-  assert(request);
-  co_await request->done.wait();
-  co_return request->message;
+inline RequestAwaiter<Message> wait(Request request) {
+  return RequestAwaiter<Message>{std::move(request)};
 }
 
 /// Suspends until all requests complete (MPI_Waitall).

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "failure/injector.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -90,6 +94,176 @@ TEST(Injector, FirstSphereDeathMatchesMinOfMax) {
     expected = std::min(expected, sphere_death);
   }
   EXPECT_DOUBLE_EQ(death->time, expected);
+}
+
+// --- The failure schedule against the full-sort walk ------------------------
+
+/// The injector's walk before the schedule existed: sort every rank by
+/// (time, rank) and mark them dead in that order until a sphere dies. The
+/// schedule must be exactly the prefix this walk reads.
+struct ReferenceWalk {
+  std::vector<Failure> failures;
+  Rank sphere = -1;
+};
+
+ReferenceWalk full_sort_walk(const ReplicaMap& map,
+                             const std::vector<sim::Time>& times) {
+  std::vector<std::size_t> order(times.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return times[a] != times[b] ? times[a] < times[b] : a < b;
+  });
+  ReferenceWalk walk;
+  SphereMonitor monitor(map);
+  for (const std::size_t p : order) {
+    const auto rank = static_cast<Rank>(p);
+    walk.failures.push_back(Failure{times[p], rank});
+    if (monitor.mark_dead(rank)) {
+      walk.sphere = map.virtual_of(rank);
+      break;
+    }
+  }
+  return walk;
+}
+
+void expect_matches_walk(const FailureSchedule& schedule,
+                         const ReferenceWalk& walk) {
+  const auto failures = schedule.failures();
+  ASSERT_EQ(failures.size(), walk.failures.size());
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    EXPECT_EQ(failures[i].rank, walk.failures[i].rank) << "failure " << i;
+    EXPECT_EQ(failures[i].time, walk.failures[i].time) << "failure " << i;
+  }
+  EXPECT_EQ(schedule.sphere(), walk.sphere);
+}
+
+void expect_schedule_is_walk_prefix(const ReplicaMap& map,
+                                    const std::vector<sim::Time>& times,
+                                    const std::string& what) {
+  SCOPED_TRACE(what);
+  const ReferenceWalk walk = full_sort_walk(map, times);
+  expect_matches_walk(FailureInjector::schedule(map, times), walk);
+  const auto death = FailureInjector::first_sphere_death(map, times);
+  ASSERT_TRUE(death.has_value());
+  EXPECT_EQ(death->time, walk.failures.back().time);
+  EXPECT_EQ(death->sphere, walk.sphere);
+}
+
+TEST(FailureSchedule, MatchesTheFullSortWalkOnDrawnEpisodes) {
+  for (const double shape : {0.7, 1.0, 2.0}) {
+    for (const double r : {1.0, 1.5, 2.0, 3.0}) {
+      const ReplicaMap map(24, r);
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        FailureParams params;
+        params.node_mtbf = hours(1);
+        params.seed = seed;
+        params.weibull_shape = shape;
+        const FailureInjector injector(map, params);
+        std::vector<sim::Time> times;
+        FailureSchedule reused;
+        for (std::uint64_t episode = 0; episode < 50; ++episode) {
+          const std::string what = "k " + std::to_string(shape) + " r " +
+                                   std::to_string(r) + " seed " +
+                                   std::to_string(seed) + " episode " +
+                                   std::to_string(episode);
+          const auto drawn = injector.draw_failure_times(episode);
+          expect_schedule_is_walk_prefix(map, drawn, what);
+          // The reusing form draws the same times and builds the same
+          // schedule over storage left by the previous episode.
+          injector.schedule(episode, times, reused);
+          EXPECT_EQ(times, drawn) << what;
+          SCOPED_TRACE(what);
+          expect_matches_walk(reused, full_sort_walk(map, drawn));
+        }
+      }
+    }
+  }
+}
+
+TEST(FailureSchedule, ExactTiesFollowTheFullSortWalk) {
+  // Spheres at r = 2 over 4 virtual ranks: {v, v + 4}.
+  const ReplicaMap dual(4, 2.0);
+  // Two spheres complete at the same instant; rank order decides, and a
+  // later-ranked failure at that instant is not part of the schedule.
+  const std::vector<sim::Time> at_kill{1.0, 2.0, 50.0, 50.0,
+                                       3.0, 3.0, 3.0, 50.0};
+  expect_schedule_is_walk_prefix(dual, at_kill, "tie at the killing instant");
+  const FailureSchedule kill_tie = FailureInjector::schedule(dual, at_kill);
+  ASSERT_EQ(kill_tie.failures().size(), 3u);
+  EXPECT_EQ(kill_tie.failures().back().rank, 4);
+  EXPECT_EQ(kill_tie.sphere(), 0);
+
+  // Failures at t = 0, including the one that kills the job.
+  const std::vector<sim::Time> at_zero{0.0, 0.0, 9.0, 9.0,
+                                       7.0, 0.0, 9.0, 9.0};
+  expect_schedule_is_walk_prefix(dual, at_zero, "ties at t = 0");
+  const FailureSchedule zero = FailureInjector::schedule(dual, at_zero);
+  ASSERT_EQ(zero.failures().size(), 3u);
+  EXPECT_EQ(zero.failures().back().time, 0.0);
+  EXPECT_EQ(zero.failures().back().rank, 5);
+  EXPECT_EQ(zero.sphere(), 1);
+
+  // Every rank fails at once: rank order alone decides.
+  for (const double r : {1.0, 1.5, 2.0, 3.0}) {
+    const ReplicaMap map(8, r);
+    const std::vector<sim::Time> equal(map.num_physical(), 7.0);
+    expect_schedule_is_walk_prefix(map, equal,
+                                   "all equal, r " + std::to_string(r));
+  }
+  const ReplicaMap partial(8, 1.5);
+  const FailureSchedule all_equal = FailureInjector::schedule(
+      partial, std::vector<sim::Time>(partial.num_physical(), 7.0));
+  ASSERT_EQ(all_equal.failures().size(), 2u);  // ranks 0 and 1
+  EXPECT_EQ(all_equal.sphere(), 1);
+}
+
+TEST(Injector, FirstSphereDeathBreaksTiesInFiringOrder) {
+  // At r = 1.5 sphere 0 is ranks {0, 8} and sphere 1 is rank {1}. Both
+  // spheres are dead by t = 5, but the walk fires rank 1 before rank 8, so
+  // sphere 1 kills the job — not the lower sphere id.
+  const ReplicaMap map(8, 1.5);
+  ASSERT_EQ(map.replicas(0).size(), 2u);
+  ASSERT_EQ(map.replicas(0)[1], 8);
+  ASSERT_EQ(map.replicas(1).size(), 1u);
+  std::vector<sim::Time> times(map.num_physical(), 100.0);
+  times[0] = 1.0;
+  times[1] = 5.0;
+  times[8] = 5.0;
+  const auto death = FailureInjector::first_sphere_death(map, times);
+  ASSERT_TRUE(death.has_value());
+  EXPECT_EQ(death->time, 5.0);
+  EXPECT_EQ(death->sphere, 1);
+  expect_schedule_is_walk_prefix(map, times, "r 1.5 tie");
+}
+
+TEST(Injector, ExponentialDrawsSkipPowBitIdentically) {
+  // k = 1 skips std::pow; the draws must equal the pow form bit for bit.
+  // The exponent is opaque to the compiler, so pow really runs.
+  const volatile double shape = 1.0;
+  const double exponent = 1.0 / shape;
+  const ReplicaMap map(1000, 1.0);
+  FailureParams params;
+  params.node_mtbf = hours(6);
+  params.seed = 2024;
+  const FailureInjector injector(map, params);
+  const double scale = params.node_mtbf / std::tgamma(1.0 + exponent);
+  const util::Xoshiro256ss root(params.seed);
+  std::vector<sim::Time> times;
+  std::size_t draws = 0;
+  std::size_t mismatches = 0;
+  for (std::uint64_t episode = 0; episode < 1000; ++episode) {
+    injector.draw_failure_times(episode, times);
+    const util::Xoshiro256ss episode_stream = root.split(episode);
+    for (std::size_t p = 0; p < times.size(); ++p) {
+      util::Xoshiro256ss node_stream = episode_stream.split(p);
+      const double u = node_stream.uniform01();
+      const double expected = scale * std::pow(-std::log1p(-u), exponent);
+      if (times[p] != expected) ++mismatches;
+      ++draws;
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Injector, RedundancyDelaysSphereDeathOnAverage) {

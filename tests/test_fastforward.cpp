@@ -189,6 +189,34 @@ TEST(FastForwardDifferential, FlatGridIsBitIdenticalAcross24Seeds) {
   EXPECT_GT(fast_total, 24);
 }
 
+// Weibull failures are inside the supported set; every shape but k = 1
+// draws through std::pow. One grid per shape (so the two run in parallel):
+// infant mortality (k < 1) and wear-out (k > 1).
+class FastForwardWeibull : public ::testing::TestWithParam<double> {};
+INSTANTIATE_TEST_SUITE_P(Shapes, FastForwardWeibull,
+                         ::testing::Values(0.7, 2.0));
+
+TEST_P(FastForwardWeibull, GridIsBitIdenticalAcross24Seeds) {
+  const double shape = GetParam();
+  int fast_total = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    for (const double r : {1.0, 1.5, 2.0, 3.0}) {
+      const std::string what = "weibull k " + std::to_string(shape) +
+                               " seed " + std::to_string(seed) + " r " +
+                               std::to_string(r);
+      runtime::JobConfig cfg = flat_config(seed, r);
+      cfg.fail.weibull_shape = shape;
+      const auto event = run_with(cfg, runtime::ExecMode::kEvent);
+      const auto ff = run_with(cfg, runtime::ExecMode::kFastForward);
+      expect_reports_identical(event, ff, what);
+      expect_invariant_tiles(ff, what);
+      fast_total += ff.ff.episodes_fast;
+    }
+  }
+  // The grid must exercise the fast path, not fall back its way to green.
+  EXPECT_GT(fast_total, 0) << "k " << shape << " never took the fast path";
+}
+
 TEST(FastForwardDifferential, ForkedAndPullAndCorruptionVariants) {
   // Per-variant fast-episode totals: each variant must actually take the
   // fast path somewhere on the grid, not only fall back bit-identically.
