@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -26,10 +27,14 @@ struct Request {
   double r_step = 0.0;
 };
 
-/// The request keys bound to `q`: the scenario's plus serve's own.
+/// The request keys bound to `q`: the scenario's plus serve's own. The id
+/// is echoed in the response, so it must be finite: JSON has no spelling
+/// for an overflowed one, and the client could not match the answer.
 util::FlagSet request_keys(Request& q) {
+  constexpr double kMaxFinite = std::numeric_limits<double>::max();
   util::FlagSet keys = scenario_flags(q.scenario);
-  keys.add({{"id", "", "", q.id},
+  keys.add({{"id", "", "", util::Domain::number(-kMaxFinite, kMaxFinite),
+             q.id},
             {"r_min", "", "1", q.r_min},
             {"r_max", "", "3", q.r_max},
             {"r_step", "", "0.25", q.r_step}});

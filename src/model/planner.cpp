@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "model/combined.hpp"
+#include "model/plan_key.hpp"
 #include "model/redundancy.hpp"
 
 namespace redcr {
@@ -19,19 +20,6 @@ namespace {
 std::uint64_t canon(double v) {
   if (v == 0.0) v = 0.0;
   return std::bit_cast<std::uint64_t>(v);
-}
-
-// FNV-1a over the canonical words. Collisions are tolerated: the cache
-// index compares full keys on lookup (tested in test_planner.cpp).
-std::size_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint64_t w : words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
 }
 
 std::size_t pick_best(const std::vector<model::Prediction>& sweep) {
@@ -70,29 +58,51 @@ Planner::Planner(std::size_t plan_cache_capacity)
 
 Planner::~Planner() = default;
 
-Planner::PlanKey Planner::canonical_key(const PlanRequest& request) {
-  PlanKey key;
-  const model::CombinedConfig& c = request.config;
-  key.words.reserve(16 + request.degrees.size());
-  key.words.push_back(canon(c.app.base_time));
-  key.words.push_back(canon(c.app.comm_fraction));
-  key.words.push_back(static_cast<std::uint64_t>(c.app.num_procs));
-  key.words.push_back(canon(c.machine.node_mtbf));
-  key.words.push_back(canon(c.machine.checkpoint_cost));
-  key.words.push_back(canon(c.machine.restart_cost));
-  key.words.push_back(static_cast<std::uint64_t>(c.failure_model));
-  key.words.push_back(static_cast<std::uint64_t>(c.restart_model));
-  key.words.push_back(c.fixed_interval.has_value() ? 1u : 0u);
-  key.words.push_back(c.fixed_interval ? canon(*c.fixed_interval) : 0u);
-  key.words.push_back(c.use_young_interval ? 1u : 0u);
-  key.words.push_back(static_cast<std::uint64_t>(request.mode));
-  key.words.push_back(request.simplified ? 1u : 0u);
+namespace model {
+
+std::vector<std::uint64_t> plan_key_words(const PlanRequest& request) {
   // Encode the grid by the degrees it expands to, so an explicit degree
   // list and the equivalent range parameters hit the same entry.
   const std::vector<double> degrees = grid_degrees(request);
-  key.words.push_back(degrees.size());
-  for (double d : degrees) key.words.push_back(canon(d));
-  key.hash = fnv1a(key.words);
+  std::vector<std::uint64_t> words;
+  words.reserve(14 + degrees.size());  // the 14 words below, then the grid
+  const CombinedConfig& c = request.config;
+  words.push_back(canon(c.app.base_time));
+  words.push_back(canon(c.app.comm_fraction));
+  words.push_back(static_cast<std::uint64_t>(c.app.num_procs));
+  words.push_back(canon(c.machine.node_mtbf));
+  words.push_back(canon(c.machine.checkpoint_cost));
+  words.push_back(canon(c.machine.restart_cost));
+  words.push_back(static_cast<std::uint64_t>(c.failure_model));
+  words.push_back(static_cast<std::uint64_t>(c.restart_model));
+  words.push_back(c.fixed_interval.has_value() ? 1u : 0u);
+  words.push_back(c.fixed_interval ? canon(*c.fixed_interval) : 0u);
+  words.push_back(c.use_young_interval ? 1u : 0u);
+  words.push_back(static_cast<std::uint64_t>(request.mode));
+  words.push_back(request.simplified ? 1u : 0u);
+  words.push_back(degrees.size());
+  for (double d : degrees) words.push_back(canon(d));
+  return words;
+}
+
+std::size_t plan_key_hash(std::span<const std::uint64_t> words) noexcept {
+  // FNV-1a's xor-then-multiply step over whole words, with a dense odd
+  // multiplier (2^64 / golden ratio) so one step carries a word's low bits
+  // into the whole upper part. Each step is a bijection of the state for a
+  // fixed word, so keys differing in one word never collide. The multiply
+  // moves differences only upward; the fold brings the high half down for
+  // tables that index by the low bits.
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (const std::uint64_t w : words) h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+}  // namespace model
+
+Planner::PlanKey Planner::canonical_key(const PlanRequest& request) {
+  PlanKey key;
+  key.words = model::plan_key_words(request);
+  key.hash = model::plan_key_hash(key.words);
   return key;
 }
 

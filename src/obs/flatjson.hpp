@@ -14,9 +14,11 @@
 // analyzer's historical error bytes are preserved exactly.
 #pragma once
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 namespace redcr::obs {
 
@@ -72,11 +74,17 @@ class FlatLineParser {
           case 't': out += '\t'; break;
           case 'r': out += '\r'; break;
           case 'u': {
-            if (pos_ + 4 > s_.size()) fail("short \\u escape");
-            const unsigned code = static_cast<unsigned>(
-                std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            // The emitters only escape control bytes (< 0x20).
+            // Exactly four hex digits naming an ASCII code: the emitters
+            // escape only control bytes (< 0x20), and a wider code point
+            // has no one-byte spelling to read back as.
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i) {
+              const int digit = hex_digit(at(pos_));
+              if (digit < 0) fail("\\u escape needs four hex digits");
+              code = code * 16 + static_cast<unsigned>(digit);
+              ++pos_;
+            }
+            if (code >= 0x80) fail("\\u escape beyond ASCII");
             out += static_cast<char>(code);
             break;
           }
@@ -120,8 +128,16 @@ class FlatLineParser {
     if (is_digit(next) || next == '.' || next == '+' || next == '-' ||
         (next >= 'a' && next <= 'z') || (next >= 'A' && next <= 'Z'))
       fail("expected a number");
-    // The JSON grammar is a subset of strtod's, so strtod stops at `end`.
-    const double v = std::strtod(s_.c_str() + pos_, nullptr);
+    // [pos_, end) is a JSON numeral, which from_chars reads as strtod
+    // does. Out of range it leaves `v` untouched, where strtod gives the
+    // +-inf (overflow) and +-0 (underflow) that callers' domain checks
+    // rely on; the numeral stops at a non-number byte, so strtod stops at
+    // `end` too.
+    const char* first = s_.data() + pos_;
+    double v = 0.0;
+    if (std::from_chars(first, s_.data() + end, v).ec ==
+        std::errc::result_out_of_range)
+      v = std::strtod(first, nullptr);
     pos_ = end;
     return v;
   }
@@ -137,6 +153,13 @@ class FlatLineParser {
     return i < s_.size() ? s_[i] : '\0';
   }
   static bool is_digit(char c) noexcept { return c >= '0' && c <= '9'; }
+  /// The value of hex digit `c`, or -1.
+  static int hex_digit(char c) noexcept {
+    if (is_digit(c)) return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+    return -1;
+  }
 
   void skip_ws() {
     while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;

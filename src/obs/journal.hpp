@@ -21,10 +21,11 @@
 //
 // Determinism contract for the NDJSON bytes: one event per line, fields in
 // a fixed order, optional fields emitted only when set (sentinel-gated),
-// numbers rendered by obs::json::append_number (integral values without a
-// fraction, %.17g otherwise — exact double round-trip, which is what lets
-// the analyzer reconcile attributed waste against the executor's accounting
-// invariant to 1e-6 *exactly*).
+// numbers rendered by obs::json::append_number (the bytes of printf's %.0f
+// for integral values and %.17g otherwise, produced by std::to_chars —
+// exact double round-trip, which is what lets the analyzer reconcile
+// attributed waste against the executor's accounting invariant to 1e-6
+// *exactly*).
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,16 @@
 //
 // Determinism contract: the same sequence of append calls produces the same
 // bytes on every platform and at every --jobs level. Numbers are therefore
-// rendered with a fixed rule — integral values (the overwhelmingly common
-// case for counters and event ids) print without a fraction, everything
-// else prints with %.17g, the shortest form that round-trips a double.
+// rendered with a fixed rule, specified as C-locale printf formats:
+// integral values (the overwhelmingly common case for counters and event
+// ids) print as %.0f, without a fraction; everything else prints as %.17g,
+// 17 significant digits, enough to round-trip any double. std::to_chars
+// implements both formats (the standard defines its precision forms by
+// printf's), so the bytes are printf's without its format parsing or
+// locale lookup.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -22,12 +27,15 @@ inline void append_number(std::string& out, double value) {
   }
   char buf[32];
   // 2^53: largest magnitude at which every integer is exactly representable.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-  }
-  out += buf;
+  const bool integral =
+      value == std::floor(value) && std::fabs(value) < 9.007199254740992e15;
+  // %.0f or %.17g; at most 24 bytes ("-1.2345678901234567e-308").
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof buf, value,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof buf, value,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 /// Appends a quoted, escaped JSON string.

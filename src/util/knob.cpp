@@ -54,7 +54,8 @@ std::string Domain::describe() const {
     case Kind::kNumber:
       if (!bounded()) return "a number";
       if (hi == std::numeric_limits<double>::max())
-        return "a finite number >= " + shortest(lo);
+        return lo == -hi ? std::string("a finite number")
+                         : "a finite number >= " + shortest(lo);
       return "in " + range + (hi_open ? ")" : "]");
     default:
       return "any text";

@@ -1,7 +1,9 @@
 // Causal event journal + analyzer tests:
 //
 //  - Journal::Event serialization round-trips exactly through
-//    obs::parse_journal (the %.17g number contract);
+//    obs::parse_journal (the %.17g number contract), and the shared
+//    flat-line reader takes JSON numerals to strtod's bits and only
+//    unicode escapes of ASCII codes;
 //  - a null journal changes nothing: reports and recorder exports are
 //    byte-identical with and without a journal attached;
 //  - blame attribution reconciles with the executor's accounting invariant
@@ -14,9 +16,13 @@
 //    different seeds diverge at a located first event.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -203,6 +209,132 @@ TEST(FlatLineParser, AcceptsOnlyJsonNumbers) {
       EXPECT_STREQ(e.what(), "test parse error at line 3: expected a number")
           << bad;
     }
+  }
+}
+
+TEST(FlatLineParser, NumbersMatchStrtod) {
+  // from_chars must read every JSON numeral to strtod's bits, and the
+  // out-of-range numerals to strtod's +-inf and +-0.
+  const auto parse = [](const std::string& text) {
+    const std::string line = "{\"v\":" + text + "}";
+    double value = 1.0;
+    obs::FlatLineParser parser(line, 1, "test");
+    parser.parse_object([&](const std::string&) {
+      value = parser.parse_number();
+    });
+    return value;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(same_bits(parse("1e400"), kInf));
+  EXPECT_TRUE(same_bits(parse("-1e400"), -kInf));
+  EXPECT_TRUE(same_bits(parse("1e-400"), 0.0));
+  EXPECT_TRUE(same_bits(parse("-1e-400"), -0.0));
+  EXPECT_TRUE(same_bits(parse("-0"), -0.0));
+  EXPECT_TRUE(same_bits(parse("-0.0e5"), -0.0));
+  EXPECT_TRUE(same_bits(parse("4.9406564584124654e-324"),
+                        std::numeric_limits<double>::denorm_min()));
+  EXPECT_TRUE(
+      same_bits(parse("2.2250738585072011e-308"),
+                std::nextafter(std::numeric_limits<double>::min(), 0.0)));
+  EXPECT_TRUE(same_bits(parse("1.7976931348623157e308"),
+                        std::numeric_limits<double>::max()));
+  EXPECT_TRUE(same_bits(parse("1.7976931348623159e308"), kInf));
+
+  // Seeded numerals: 1-40 significant digits split between the integer
+  // part and the fraction, an optional exponent out to +-400 in every
+  // spelling, and a band of exponents that lands in the subnormals.
+  std::mt19937_64 rng(0x73747274ull);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 300000; ++i) {
+    std::string text = pick(0, 1) ? "-" : "";
+    const int digits = pick(1, 40);
+    const int whole = pick(0, digits);  // digits before the point
+    if (whole == 0) {
+      text += '0';
+    } else {
+      text += static_cast<char>('1' + pick(0, 8));
+      for (int d = 1; d < whole; ++d)
+        text += static_cast<char>('0' + pick(0, 9));
+    }
+    if (whole < digits) {
+      text += '.';
+      for (int d = whole; d < digits; ++d)
+        text += static_cast<char>('0' + pick(0, 9));
+    }
+    const int shape = pick(0, 3);
+    if (shape > 0) {
+      const int exponent =
+          shape == 3 ? pick(-345, -300) - whole : pick(-400, 400);
+      text += pick(0, 1) ? 'e' : 'E';
+      if (exponent < 0) text += '-';
+      else if (pick(0, 1)) text += '+';
+      text += std::to_string(exponent < 0 ? -exponent : exponent);
+    }
+    const double want = std::strtod(text.c_str(), nullptr);
+    const double got = parse(text);
+    if (!same_bits(got, want) && ++mismatches <= 5)
+      ADD_FAILURE() << text << " parsed as " << got << ", strtod gives "
+                    << want;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(FlatLineParser, UnicodeEscapesAreFourHexDigitsBelow0x80) {
+  const auto text = [](const std::string& body) {
+    const std::string line = "{\"v\":\"" + body + "\"}";
+    std::string value;
+    obs::FlatLineParser parser(line, 4, "test");
+    parser.parse_object([&](const std::string&) {
+      value = parser.parse_string();
+    });
+    return value;
+  };
+  EXPECT_EQ(text("a\\u0001b"), "a\x01" "b");
+  EXPECT_EQ(text("\\u001F\\u001f"), "\x1f\x1f");
+  EXPECT_EQ(text("\\u0041\\u007e"), "A~");
+  EXPECT_EQ(text("\\u0000"), std::string(1, '\0'));
+  // Fewer than four hex digits (a sign, a space or a non-hex byte among
+  // them), or a code above 0x7f, names no byte the writer could have sent.
+  for (const char* bad : {"a\\u00zzb", "\\u-001", "\\u 7Fb", "\\u+7Fb",
+                          "\\u4e2d", "\\u0080", "\\u00ff", "\\u12",
+                          "\\u"}) {
+    try {
+      (void)text(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("test parse error at line 4: ", 0),
+                0u)
+          << e.what();
+    }
+  }
+  // Everything append_string writes reads back: it escapes only bytes
+  // below 0x20, '"' and '\\'.
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  std::string line = "{\"v\":";
+  obs::json::append_string(line, all);
+  line += '}';
+  std::string back;
+  obs::FlatLineParser parser(line, 1, "test");
+  parser.parse_object(
+      [&](const std::string&) { back = parser.parse_string(); });
+  EXPECT_EQ(back, all);
+  // The journal reader shares the tokenizer, so analyze rejects the same.
+  try {
+    (void)obs::parse_journal(
+        "{\"id\":1,\"t\":0,\"type\":\"job-begin\"}\n"
+        "{\"id\":2,\"t\":0,\"type\":\"job-\\u00zzend\"}\n");
+    ADD_FAILURE() << "a malformed escape parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("journal parse error at line 2: ", 0),
+              0u)
+        << e.what();
   }
 }
 

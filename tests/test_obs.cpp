@@ -4,11 +4,15 @@
 // runtime::render_trace edge cases.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -181,6 +185,67 @@ TEST(Json, IntegralValuesPrintWithoutFraction) {
 TEST(Json, NonIntegralValuesRoundTrip) {
   const std::string text = number(0.1);
   EXPECT_DOUBLE_EQ(std::stod(text), 0.1);
+}
+
+TEST(Json, AppendNumberMatchesPrintf) {
+  // The number rule is specified as C-locale printf formats; snprintf is
+  // the reference the to_chars rendering must reproduce byte for byte.
+  const auto reference = [](double v) -> std::string {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)
+      std::snprintf(buf, sizeof buf, "%.0f", v);
+    else
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+  };
+  constexpr double k2p53 = 9007199254740992.0;
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                0.5,
+                                -0.5,
+                                1.5,
+                                limits::denorm_min(),
+                                limits::min(),
+                                limits::max(),
+                                limits::lowest(),
+                                limits::epsilon(),
+                                limits::infinity(),
+                                limits::quiet_NaN()};
+  std::mt19937_64 rng(0x6a736f6eull);
+  // Random bit patterns: every exponent, NaN and infinity included.
+  for (int i = 0; i < 400000; ++i)
+    values.push_back(std::bit_cast<double>(rng()));
+  // Integers around +-2^53, where the rule switches from %.0f to %.17g,
+  // and halves around 2^52, the last binade that holds them.
+  for (int i = -50000; i <= 50000; ++i) {
+    values.push_back(k2p53 + i);
+    values.push_back(-(k2p53 + i));
+    values.push_back(k2p53 / 2 + 0.5 * i);
+  }
+  // Subnormals: zero exponent field, random mantissa, either sign.
+  for (int i = 0; i < 100000; ++i)
+    values.push_back(std::bit_cast<double>(rng() & 0x800fffffffffffffull));
+  // The serve-response range: hours, minutes, node counts, failure
+  // expectations and redundancy degrees, log-uniform over [1e-4, 1e7].
+  std::uniform_real_distribution<double> exponent(-4.0, 7.0);
+  for (int i = 0; i < 200000; ++i)
+    values.push_back(std::pow(10.0, exponent(rng)));
+  std::uniform_int_distribution<int> step(0, 800);
+  for (int i = 0; i < 100000; ++i)
+    values.push_back(1.0 + 0.0025 * step(rng) + 1e-6 * (i % 7));
+  ASSERT_GE(values.size(), 1000000u);
+
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string got = number(v);
+    const std::string want = reference(v);
+    if (got != want && ++mismatches <= 5)
+      ADD_FAILURE() << "bits " << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": got " << got << ", printf gives " << want;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, NonFiniteBecomesNull) {

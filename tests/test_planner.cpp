@@ -2,20 +2,26 @@
 // front-end behind it: the kExact bitwise contract, the kFast error
 // bound (with the Eq. 13 pole rule), grid-vs-span staging identity, the
 // LRU plan cache (hits, misses, evictions, canonical keying, full-key
-// compare on hash collisions), serve-mode replay determinism against the
-// checked-in golden, and the --jobs auto spelling.
+// compare on hash collisions, distinct keys hashing apart), serve-mode
+// replay determinism against the checked-in golden (from the respelled log
+// too), and the --jobs auto spelling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/serve.hpp"
+#include "model/plan_key.hpp"
 #include "redcr/redcr.hpp"
 
 namespace {
@@ -268,6 +274,53 @@ TEST(Planner, DistinctScenariosNeverAliasEvenOnHashCollision) {
   EXPECT_EQ(stats.plan_cache_evictions, 2u);
 }
 
+TEST(Planner, DistinctCanonicalKeysHashApart) {
+  // The LRU index compares full keys, so a hash that dropped a word, or a
+  // word's low bits, would pass every cache test while chaining the whole
+  // index into one bucket. Hash a seeded serve-shaped catalogue (the three
+  // grids of perfbench's plan_serve, 9, 41 and 201 points) and keys one low
+  // bit apart, and require every distinct key to get its own hash.
+  std::mt19937_64 rng(0x6b657973ull);
+  const auto pick = [&](int lo, int hi) {
+    return static_cast<double>(std::uniform_int_distribution<int>(lo, hi)(rng));
+  };
+  std::map<std::vector<std::uint64_t>, std::size_t> keys;
+  for (const double step : {0.25, 0.05, 0.01}) {
+    for (int i = 0; i < 2500; ++i) {
+      PlanRequest request;
+      request.config = scenario()
+                           .node_mtbf(util::years(pick(3, 10)))
+                           .checkpoint_cost(pick(2, 15) * 60)
+                           .restart_cost(pick(5, 60) * 60)
+                           .base_time(util::hours(pick(16, 256)))
+                           .comm_fraction(pick(5, 40) / 100)
+                           .processes(static_cast<std::size_t>(pick(1, 100)) *
+                                      1000)
+                           .build();
+      request.r_step = step;
+      request.mode = model::EvalMode::kFast;
+      std::vector<std::uint64_t> words = model::plan_key_words(request);
+      const std::size_t hash = model::plan_key_hash(words);
+      keys.emplace(std::move(words), hash);
+    }
+  }
+  // Every word of one key with its lowest bit flipped, one at a time.
+  const std::vector<std::uint64_t> base = keys.begin()->first;
+  for (std::size_t w = 0; w < base.size(); ++w) {
+    std::vector<std::uint64_t> flipped = base;
+    flipped[w] ^= 1u;
+    const std::size_t hash = model::plan_key_hash(flipped);
+    keys.emplace(std::move(flipped), hash);
+  }
+  ASSERT_GT(keys.size(), 6000u);
+  std::set<std::size_t> hashes;
+  for (const auto& [words, hash] : keys) {
+    EXPECT_EQ(hash, model::plan_key_hash(words));  // a pure function
+    hashes.insert(hash);
+  }
+  EXPECT_EQ(hashes.size(), keys.size());
+}
+
 TEST(Planner, LruEvictsOldestNotHottest) {
   Planner planner(/*plan_cache_capacity=*/2);
   PlanRequest a, b, c;
@@ -300,6 +353,20 @@ TEST(Serve, ReplayMatchesCheckedInGolden) {
   EXPECT_GT(report.requests, 0u);
   EXPECT_GT(report.qps, 0.0);
   EXPECT_GT(report.stats.plan_cache_hits, 0u);  // the log replays scenarios
+}
+
+TEST(Serve, RespelledLogMatchesTheSameGolden) {
+  // The same requests with every number written another JSON way
+  // (3.712e3, 5E-2, 4.8e+1, 3.0, 0.40): the same doubles must give the
+  // same response bytes.
+  const std::string requests = read_file(std::string(REDCR_TEST_DATA_DIR) +
+                                         "/serve_requests_respelled.ndjson");
+  const std::string golden =
+      read_file(std::string(REDCR_TEST_DATA_DIR) + "/serve_golden.ndjson");
+  ASSERT_FALSE(requests.empty());
+  std::string responses;
+  (void)apps::serve_replay(requests, responses);
+  EXPECT_EQ(responses, golden);
 }
 
 TEST(Serve, ResponsesAreIdenticalAcrossJobCountsAndReruns) {
