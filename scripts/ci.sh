@@ -124,7 +124,9 @@ echo "=== ci.sh: fast-forward differential smoke ==="
 # The bit-identity contract, end to end through the CLI: the same cell run
 # with --engine event and --engine fastforward must print byte-identical
 # reports. Flat cells under exponential and Weibull (k = 0.7 infant
-# mortality, k = 2 wear-out) failures, and one three-level async cell.
+# mortality, k = 2 wear-out) failures, flat cells with three-replica spheres
+# (r = 2.5 and 3; a repeated flag takes its last value), and one
+# three-level async cell.
 FF_DIR="$(mktemp -d)"
 run_ff_diff_cell() {
   local name="$1"
@@ -144,6 +146,8 @@ run_ff_diff_cell() {
 run_ff_diff_cell "flat"
 run_ff_diff_cell "flat, Weibull k=0.7" --weibull-shape 0.7
 run_ff_diff_cell "flat, Weibull k=2" --weibull-shape 2
+run_ff_diff_cell "flat, r=2.5" --redundancy 2.5
+run_ff_diff_cell "flat, r=3" --redundancy 3
 run_ff_diff_cell "3-level async flush" --ckpt-levels "$LEVELS_FF" --async-flush
 rm -rf "$FF_DIR"
 

@@ -54,11 +54,8 @@ void parse_request(const std::string& line, std::size_t lineno,
     const double v = parser.parse_number();
     const util::Knob* knob = keys.find(key);
     if (knob == nullptr) return;  // unknown keys: forward compatibility
-    if (!knob->domain.admits(v)) {
-      std::string got;
-      obs::json::append_number(got, v);
-      bad_request(lineno, knob->domain.reject(key, got));
-    }
+    if (!knob->domain.admits(v))
+      bad_request(lineno, knob->domain.reject(key, parser.numeral()));
     knob->set(util::Value{v, {}});
   });
 }

@@ -16,6 +16,7 @@
 // restart phases happen between episodes, where the injector does not run.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -48,9 +49,31 @@ struct FailureParams {
   /// "other failure distributions" of related work [3]).
   double weibull_shape = 1.0;
 
-  /// Rejects NaN/non-positive MTBF and Weibull shape with a one-line
-  /// std::invalid_argument naming the offending knob.
+  /// Rejects NaN/non-positive MTBF and Weibull shape, and a pair whose
+  /// Weibull scale θ/Γ(1 + 1/k) is not finite and > 0 (k below about
+  /// 0.00586, where Γ overflows and every draw is 0 or NaN, or an infinite
+  /// θ), with a one-line std::invalid_argument naming the offending knob.
   void validate() const;
+};
+
+/// The inverse CDF every failure time goes through: Weibull with mean θ has
+/// scale θ/Γ(1 + 1/k), and a rank with uniform u in [0, 1) first fails at
+/// scale·(−ln(1 − u))^(1/k). For k = 1 this is exactly the exponential
+/// inverse CDF, and pow is skipped: glibc's pow is accurate to under 1 ULP,
+/// so pow(x, 1.0) is x itself and the draws stay bit-identical.
+struct FailureLaw {
+  double scale = 1.0;     ///< θ/Γ(1 + 1/k), seconds
+  double exponent = 1.0;  ///< 1/k
+
+  [[nodiscard]] static FailureLaw of(const FailureParams& params) noexcept {
+    const double exponent = 1.0 / params.weibull_shape;
+    return {params.node_mtbf / std::tgamma(1.0 + exponent), exponent};
+  }
+
+  [[nodiscard]] double failure_time(double u) const noexcept {
+    const double x = -std::log1p(-u);
+    return scale * (exponent == 1.0 ? x : std::pow(x, exponent));
+  }
 };
 
 /// Tracks which physical processes are dead and whether any sphere (virtual
@@ -105,8 +128,19 @@ struct Failure {
 class FailureSchedule {
  public:
   /// Rebuilds the schedule of `times` (first failure time by physical
-  /// rank, one per rank of `map`), reusing this schedule's storage.
+  /// rank, one per rank of `map`), reusing this schedule's storage. The
+  /// reference build: every rank's time is read.
   void build(const red::ReplicaMap& map, std::span<const sim::Time> times);
+
+  /// Rebuilds the schedule of the times `law` gives `uniforms` (one per
+  /// physical rank), transforming only the ranks the walk can read: the
+  /// same passes run in (uniform, rank) order, and the ranks at or before
+  /// the killer, plus the first one after it, go through `law`. When the
+  /// transformed times cannot prove every other rank fires later
+  /// (DESIGN.md §14), it falls back to build() over every rank's time. The
+  /// result equals that build's bit for bit either way.
+  void build(const red::ReplicaMap& map, const FailureLaw& law,
+             std::span<const double> uniforms);
 
   /// The failures in firing order; the last one kills the job. Empty only
   /// before the first build().
@@ -115,10 +149,17 @@ class FailureSchedule {
   }
   /// The sphere the last failure completes.
   [[nodiscard]] Rank sphere() const noexcept { return sphere_; }
+  /// How many uniform builds of this schedule fell back to the full
+  /// transform. Tests read it; no report, metric or journal does.
+  [[nodiscard]] std::uint64_t fallbacks() const noexcept { return fallbacks_; }
 
  private:
+  friend class FailureInjector;  // draws into uniforms_
+
   std::vector<Failure> failures_;
+  std::vector<double> uniforms_;  // FailureInjector::schedule's draws
   Rank sphere_ = -1;
+  std::uint64_t fallbacks_ = 0;
 };
 
 class FailureInjector {
@@ -126,18 +167,17 @@ class FailureInjector {
   FailureInjector(const red::ReplicaMap& map, FailureParams params);
 
   /// First failure time of every physical node for the given episode,
-  /// indexed by physical rank. Deterministic in (seed, episode).
+  /// indexed by physical rank. Deterministic in (seed, episode): node p's
+  /// uniform is the first of stream root.split(episode).split(p), so it does
+  /// not depend on how many draws other nodes consume.
   [[nodiscard]] std::vector<sim::Time> draw_failure_times(
       std::uint64_t episode) const;
-  /// The same draws into `times`, resized to one per physical rank.
-  void draw_failure_times(std::uint64_t episode,
-                          std::vector<sim::Time>& times) const;
 
-  /// The episode's failure schedule: its draws (into `times`, scratch)
-  /// ordered into `out`. Both keep their storage across calls, so a caller
-  /// that walks many episodes allocates once.
-  void schedule(std::uint64_t episode, std::vector<sim::Time>& times,
-                FailureSchedule& out) const;
+  /// The episode's failure schedule, equal to the schedule of
+  /// draw_failure_times(episode), built from the ranks' uniforms into `out`
+  /// (which keeps its storage across calls, so a caller that walks many
+  /// episodes allocates once).
+  void schedule(std::uint64_t episode, FailureSchedule& out) const;
   /// The schedule of hand-built `times` (indexed by physical rank).
   [[nodiscard]] static FailureSchedule schedule(
       const red::ReplicaMap& map, std::span<const sim::Time> times);
@@ -174,8 +214,12 @@ class FailureInjector {
   void set_journal(obs::Journal* journal) { journal_ = journal; }
 
  private:
+  /// root.split(episode), the parent of the episode's per-node streams.
+  [[nodiscard]] util::Xoshiro256ss episode_stream(std::uint64_t episode) const;
+
   const red::ReplicaMap* map_;
   FailureParams params_;
+  FailureLaw law_;
   obs::Recorder* recorder_ = nullptr;  // optional, not owned
   obs::Journal* journal_ = nullptr;    // optional, not owned
 };

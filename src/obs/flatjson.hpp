@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 namespace redcr::obs {
@@ -138,9 +139,14 @@ class FlatLineParser {
     if (std::from_chars(first, s_.data() + end, v).ec ==
         std::errc::result_out_of_range)
       v = std::strtod(first, nullptr);
+    numeral_ = std::string_view(first, end - pos_);
     pos_ = end;
     return v;
   }
+
+  /// The last number parse_number() read, spelled as the line spells it
+  /// (an error message echoes what was sent, not what it rounded to).
+  [[nodiscard]] std::string_view numeral() const noexcept { return numeral_; }
 
   [[noreturn]] void fail(const std::string& what) const {
     throw std::runtime_error(std::string(context_) + " parse error at line " +
@@ -175,6 +181,7 @@ class FlatLineParser {
   std::size_t lineno_;
   const char* context_;
   std::size_t pos_ = 0;
+  std::string_view numeral_;
 };
 
 }  // namespace redcr::obs

@@ -244,7 +244,7 @@ std::optional<EpisodeResult> FastForwardDriver::try_episode(
   // --- The injector's event walk, replayed arithmetically -----------------
   // FailureInjector::run's walk over the same schedule, with the same
   // `now + (when - now)` delay landings and 0.25 s protected-phase polls.
-  injector_.schedule(episode_index, times_, schedule_);
+  injector_.schedule(episode_index, schedule_);
   const auto failures = schedule_.failures();
   // A death at t = 0 would interleave with the spawn burst by sequence
   // number; the walk cannot reproduce that ordering.

@@ -86,8 +86,7 @@ class FastForwardDriver {
   const WorkloadFactory& factory_;
   /// Failure-schedule oracle (never spawned; schedule() only).
   failure::FailureInjector injector_;
-  /// Per-episode scratch: the draws and their schedule, reused.
-  std::vector<sim::Time> times_;
+  /// Per-episode scratch: the episode's failure schedule, reused.
   failure::FailureSchedule schedule_;
   /// An empty store of the job's shape; each prototype commits into its own
   /// copy.

@@ -50,6 +50,12 @@ class Xoshiro256ss {
   /// Derives an independent child stream; `salt` distinguishes siblings.
   [[nodiscard]] Xoshiro256ss split(std::uint64_t salt) const noexcept;
 
+  /// split(salt).uniform01(), bit for bit, without building the child:
+  /// xoshiro256**'s first output reads only s[1], the child's second
+  /// SplitMix64 output (the all-zero guard rewrites only s[0]), so it costs
+  /// two SplitMix64 finalizers.
+  [[nodiscard]] double split_uniform01(std::uint64_t salt) const noexcept;
+
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform01() noexcept;
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -159,7 +162,6 @@ TEST(FailureSchedule, MatchesTheFullSortWalkOnDrawnEpisodes) {
         params.seed = seed;
         params.weibull_shape = shape;
         const FailureInjector injector(map, params);
-        std::vector<sim::Time> times;
         FailureSchedule reused;
         for (std::uint64_t episode = 0; episode < 50; ++episode) {
           const std::string what = "k " + std::to_string(shape) + " r " +
@@ -168,10 +170,9 @@ TEST(FailureSchedule, MatchesTheFullSortWalkOnDrawnEpisodes) {
                                    std::to_string(episode);
           const auto drawn = injector.draw_failure_times(episode);
           expect_schedule_is_walk_prefix(map, drawn, what);
-          // The reusing form draws the same times and builds the same
-          // schedule over storage left by the previous episode.
-          injector.schedule(episode, times, reused);
-          EXPECT_EQ(times, drawn) << what;
+          // The reusing form builds the same schedule over storage left by
+          // the previous episode.
+          injector.schedule(episode, reused);
           SCOPED_TRACE(what);
           expect_matches_walk(reused, full_sort_walk(map, drawn));
         }
@@ -217,6 +218,143 @@ TEST(FailureSchedule, ExactTiesFollowTheFullSortWalk) {
   EXPECT_EQ(all_equal.sphere(), 1);
 }
 
+// --- The uniform build against the full draw ---------------------------------
+
+/// Same failures (time bits, so -0.0 and +0.0 differ), ranks and sphere.
+void expect_bit_identical(const FailureSchedule& got,
+                          const FailureSchedule& want) {
+  ASSERT_EQ(got.failures().size(), want.failures().size());
+  for (std::size_t i = 0; i < got.failures().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.failures()[i].time),
+              std::bit_cast<std::uint64_t>(want.failures()[i].time))
+        << "failure " << i;
+    EXPECT_EQ(got.failures()[i].rank, want.failures()[i].rank)
+        << "failure " << i;
+  }
+  EXPECT_EQ(got.sphere(), want.sphere());
+}
+
+TEST(FailureSchedule, UniformBuildEqualsTheFullDrawBitForBit) {
+  std::uint64_t seed = 0;
+  for (const double shape : {0.3, 0.7, 1.0, 2.0, 5.0}) {
+    for (const double r : {1.0, 1.25, 1.5, 2.0, 2.5, 3.0}) {
+      for (const int n : {4, 64, 256}) {
+        const ReplicaMap map(n, r);
+        FailureParams params;
+        params.node_mtbf = hours(1);
+        params.seed = ++seed;
+        params.weibull_shape = shape;
+        const FailureInjector injector(map, params);
+        FailureSchedule ranked;
+        const std::string what = "k " + std::to_string(shape) + " r " +
+                                 std::to_string(r) + " N " +
+                                 std::to_string(n);
+        for (std::uint64_t episode = 0; episode < 200; ++episode) {
+          injector.schedule(episode, ranked);
+          SCOPED_TRACE(what + " episode " + std::to_string(episode));
+          expect_bit_identical(
+              ranked, FailureInjector::schedule(
+                          map, injector.draw_failure_times(episode)));
+        }
+        EXPECT_EQ(ranked.fallbacks(), 0u) << what;
+      }
+    }
+  }
+}
+
+/// Builds hand-made `uniforms` both ways; returns the uniform build's
+/// fallback count after checking it equals the full build of their times.
+std::uint64_t fallbacks_building(const ReplicaMap& map, const FailureLaw& law,
+                                 const std::vector<double>& uniforms) {
+  std::vector<sim::Time> times(uniforms.size());
+  for (std::size_t p = 0; p < times.size(); ++p)
+    times[p] = law.failure_time(uniforms[p]);
+  FailureSchedule ranked;
+  ranked.build(map, law, uniforms);
+  expect_bit_identical(ranked, FailureInjector::schedule(map, times));
+  return ranked.fallbacks();
+}
+
+TEST(FailureSchedule, HandBuiltUniformsEqualTheFullBuild) {
+  // Spheres at r = 2 over 4 virtual ranks: {v, v + 4}. Sphere 0's last
+  // replica, rank 4, is the killer; rank 1 comes next in (uniform, rank)
+  // order.
+  const ReplicaMap dual(4, 2.0);
+  const std::vector<double> base{0.125, 0.5,  0.625, 0.75,
+                                 0.25,  0.875, 0.9375, 0.96875};
+  constexpr double kStep = 0x1.0p-53;  // one step of the 53-bit uniforms
+  for (const double exponent : {1.0, 0.5, 3.0}) {
+    const FailureLaw law{3600.0, exponent};
+    SCOPED_TRACE("exponent " + std::to_string(exponent));
+    EXPECT_EQ(fallbacks_building(dual, law, base), 0u);
+
+    // The next rank one step after the killer: their times are a few ULP
+    // apart, inside the check's margin, so it must fall back.
+    std::vector<double> close = base;
+    close[1] = base[4] + kStep;
+    EXPECT_EQ(fallbacks_building(dual, law, close), 1u);
+
+    // Equal uniforms at the cut. A lower rank ties the killer: it sorts
+    // before it in rank order and is transformed with it.
+    std::vector<double> tie_before = base;
+    tie_before[1] = base[4];
+    EXPECT_EQ(fallbacks_building(dual, law, tie_before), 0u);
+    // A higher rank ties it: it comes next with the killer's own time.
+    std::vector<double> tie_after = base;
+    tie_after[5] = base[4];
+    EXPECT_EQ(fallbacks_building(dual, law, tie_after), 1u);
+
+    // u = 0: the killer's sphere fails at t = 0 and the next rank later.
+    std::vector<double> zero = base;
+    zero[0] = 0.0;
+    zero[4] = 0.0;
+    EXPECT_EQ(fallbacks_building(dual, law, zero), 0u);
+    // The next rank at t = 0 too: no margin below 0.
+    zero[5] = 0.0;
+    EXPECT_EQ(fallbacks_building(dual, law, zero), 1u);
+  }
+
+  // A lower uniform can round to the killer's time: at 1/k = 0.2 pow can
+  // map adjacent uniforms to the same double. Rank 5 is then transformed, yet
+  // fires after the killer (equal times go by rank), so the cut after the
+  // killer's sphere must drop it.
+  const FailureLaw flat{3600.0, 0.2};
+  std::vector<double> tie_in_time = base;
+  bool found = false;
+  for (int i = 0; i < 1000 && !found; ++i) {
+    tie_in_time[4] = base[4] + i * kStep;
+    tie_in_time[5] = tie_in_time[4] - kStep;
+    found = flat.failure_time(tie_in_time[5]) ==
+            flat.failure_time(tie_in_time[4]);
+  }
+  ASSERT_TRUE(found);
+  EXPECT_EQ(fallbacks_building(dual, flat, tie_in_time), 0u);
+
+  // A time that overflows to inf. With scale DBL_MAX/4, u >= 1 - e^-4
+  // overflows at k = 1.
+  const FailureLaw huge{std::numeric_limits<double>::max() / 4.0, 1.0};
+  const double late = 1.0 - kStep;  // -log1p(-u) = 53 ln 2
+  ASSERT_EQ(huge.failure_time(late), std::numeric_limits<double>::infinity());
+  // The next rank overflows: an infinite t_next bounds nothing.
+  std::vector<double> next_inf = base;
+  next_inf[1] = late;
+  next_inf[2] = next_inf[3] = next_inf[5] = next_inf[6] = next_inf[7] = late;
+  EXPECT_EQ(fallbacks_building(dual, huge, next_inf), 1u);
+  // The killer overflows too, and ties the ranks after it.
+  next_inf[4] = late;
+  EXPECT_EQ(fallbacks_building(dual, huge, next_inf), 1u);
+  // Only the ranks the walk never reads overflow.
+  std::vector<double> tail_inf = base;
+  tail_inf[5] = tail_inf[6] = tail_inf[7] = late;
+  EXPECT_EQ(fallbacks_building(dual, huge, tail_inf), 0u);
+
+  // One sphere: every rank is transformed, and nothing comes next.
+  const ReplicaMap single(1, 3.0);
+  EXPECT_EQ(fallbacks_building(single, FailureLaw{3600.0, 1.0},
+                               {0.5, 0.25, 0.5}),
+            0u);
+}
+
 TEST(Injector, FirstSphereDeathBreaksTiesInFiringOrder) {
   // At r = 1.5 sphere 0 is ranks {0, 8} and sphere 1 is rank {1}. Both
   // spheres are dead by t = 5, but the walk fires rank 1 before rank 8, so
@@ -248,11 +386,10 @@ TEST(Injector, ExponentialDrawsSkipPowBitIdentically) {
   const FailureInjector injector(map, params);
   const double scale = params.node_mtbf / std::tgamma(1.0 + exponent);
   const util::Xoshiro256ss root(params.seed);
-  std::vector<sim::Time> times;
   std::size_t draws = 0;
   std::size_t mismatches = 0;
   for (std::uint64_t episode = 0; episode < 1000; ++episode) {
-    injector.draw_failure_times(episode, times);
+    const auto times = injector.draw_failure_times(episode);
     const util::Xoshiro256ss episode_stream = root.split(episode);
     for (std::size_t p = 0; p < times.size(); ++p) {
       util::Xoshiro256ss node_stream = episode_stream.split(p);
@@ -409,12 +546,25 @@ TEST(Injector, RejectsBadWeibullShape) {
   FailureParams params;
   params.weibull_shape = 0.0;
   EXPECT_THROW(FailureInjector(map, params), std::invalid_argument);
+  // Γ(1 + 1/k) overflows below k ≈ 0.00586: the scale θ/Γ is 0 and every
+  // draw would be 0 or NaN (0·inf).
+  params.node_mtbf = 720.0;
+  for (const double shape : {0.005, 0.001}) {
+    params.weibull_shape = shape;
+    EXPECT_THROW(FailureInjector(map, params), std::invalid_argument)
+        << "shape " << shape;
+  }
+  params.weibull_shape = 0.01;
+  EXPECT_NO_THROW(FailureInjector(map, params));
 }
 
 TEST(Injector, RejectsNonPositiveMtbf) {
   const ReplicaMap map(2, 1.0);
   FailureParams params;
   params.node_mtbf = 0.0;
+  EXPECT_THROW(FailureInjector(map, params), std::invalid_argument);
+  // An infinite MTBF has no finite scale (and u = 0 would draw inf·0).
+  params.node_mtbf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(FailureInjector(map, params), std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/serve.hpp"
@@ -407,6 +408,26 @@ TEST(Serve, MalformedLinesNameTheLine) {
     EXPECT_NE(std::string(e.what()).find("request parse error at line 2"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Serve, RejectedValuesAreEchoedAsSent) {
+  // The message quotes the numeral from the request line, not the double it
+  // parsed to: an overflowed 1e400 is inf, which JSON would render as null.
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"procs\":1e400}\n", "got '1e400'"},
+      {"{\"procs\":-5}\n", "got '-5'"},
+      {"{\"id\":-1e400}\n", "got '-1e400'"},
+  };
+  for (const auto& [request, echo] : cases) {
+    std::string responses;
+    try {
+      (void)apps::serve_replay(request, responses);
+      ADD_FAILURE() << "expected a rejection of " << request;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(echo), std::string::npos)
+          << e.what();
+    }
   }
 }
 

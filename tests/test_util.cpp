@@ -64,6 +64,33 @@ TEST(Rng, SplitStreamsAreIndependentOfConsumption) {
   EXPECT_NE(child_a2.next(), child_b.next());
 }
 
+TEST(Rng, SplitUniform01IsTheChildsFirstUniform) {
+  // Parents: seeded, advanced by next(), and themselves split children;
+  // salts: small, large and the extremes.
+  std::vector<Xoshiro256ss> parents;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    Xoshiro256ss seeded(seed * 0x9e3779b97f4a7c15ULL + seed);
+    parents.push_back(seeded);
+    parents.push_back(seeded.split(seed));
+    for (int i = 0; i < 3; ++i) seeded.next();
+    parents.push_back(seeded);
+  }
+  std::size_t pairs = 0;
+  std::size_t mismatches = 0;
+  for (const Xoshiro256ss& parent : parents) {
+    for (std::uint64_t salt = 0; salt < 840; ++salt) {
+      const std::uint64_t salts[] = {salt, ~salt, salt << 40};
+      for (const std::uint64_t s : salts) {
+        if (parent.split_uniform01(s) != parent.split(s).uniform01())
+          ++mismatches;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Rng, Uniform01Bounds) {
   Xoshiro256ss rng(1);
   RunningStats stats;
