@@ -156,8 +156,8 @@ void RedComm::post_copy_set(Rank src_virtual, int tag, Request parent) {
   }
 
   // The comm owns the copy-set; the hooks hold only an iterator. (Having
-  // each hook own the subs would make sub → hook → subs a shared_ptr cycle
-  // that leaks every copy-set still in flight at episode teardown.)
+  // each hook own the subs would make sub → hook → subs a reference-count
+  // cycle that leaks every copy-set still in flight at episode teardown.)
   copy_sets_.emplace_back();
   const auto it = std::prev(copy_sets_.end());
   CopySet& set = *it;
@@ -205,7 +205,7 @@ sim::Task RedComm::drive_wildcard(int tag, Request parent) {
     // posted its remaining-copy receives, our ANY_SOURCE receive could
     // steal the *duplicate* copy of the previous instance's message (every
     // sender replica posts a full copy under the application tag).
-    auto my_turn_done = std::make_shared<sim::OneShotEvent>();
+    auto my_turn_done = util::Rc<sim::OneShotEvent>::make();
     auto previous_turn = std::exchange(
         wildcard_turn_[static_cast<std::uint64_t>(tag)], my_turn_done);
     if (previous_turn) co_await previous_turn->wait();

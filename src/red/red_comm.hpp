@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <span>
 
 #include "obs/recorder.hpp"
@@ -33,6 +32,7 @@
 #include "simmpi/world.hpp"
 #include "util/flat_map.hpp"
 #include "util/pool.hpp"
+#include "util/rc.hpp"
 
 namespace redcr::red {
 
@@ -263,7 +263,7 @@ class RedComm final : public simmpi::Comm {
   /// ANY_SOURCE receive of instance k+1 may only be posted after instance k
   /// has posted its remaining-copy receives — otherwise instance k+1 could
   /// steal a duplicate copy of instance k's message (see drive_wildcard).
-  util::FlatMap64<std::shared_ptr<sim::OneShotEvent>> wildcard_turn_;  // by tag
+  util::FlatMap64<util::Rc<sim::OneShotEvent>> wildcard_turn_;  // by tag
   /// In-flight fan-out sends and copy-sets (erased as each one finishes).
   FanOutList fan_outs_;
   CopySetList copy_sets_;

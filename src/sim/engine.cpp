@@ -73,7 +73,9 @@ void Engine::release_node(EventNode* node) noexcept {
 
 void Engine::bucket_insert(EventNode* node) noexcept {
   const Time t = node->time;
-  Bucket& bucket = buckets_[global_slot(t) & bucket_mask_];
+  // An event at now() takes now()'s day; any other time divides once.
+  node->day = t == now_ ? now_day_ : global_slot(t);
+  Bucket& bucket = buckets_[node->day & bucket_mask_];
   node->linked = true;
   // Find the group of time t, or the head to open a new group before.
   // Fast path: the common schedule patterns (same-time bursts, increasing
@@ -133,12 +135,14 @@ void Engine::bucket_unlink(EventNode* node) noexcept {
     assert(node->prev == nullptr && node->next == nullptr);
     return;  // a follower is in no bucket list
   }
-  Bucket& bucket = buckets_[global_slot(node->time) & bucket_mask_];
+  Bucket& bucket = buckets_[node->day & bucket_mask_];
   if (heir != node) {
-    // A head hands its bucket-list place to the next ring member.
+    // A head hands its bucket-list place to the next ring member, and its
+    // day: the follower's own may predate a rebuild.
     assert(!heir->head && heir->prev == nullptr && heir->next == nullptr);
     assert(heir->time == node->time);
     heir->head = true;
+    heir->day = node->day;
     heir->prev = node->prev;
     heir->next = node->next;
     if (heir->prev != nullptr)
@@ -171,10 +175,11 @@ Engine::EventNode* Engine::find_min() noexcept {
   // so scanning the ring upward from now() meets each event exactly at its
   // own slot; the first hit's bucket head is the earliest group, and the
   // head of a group is its earliest-scheduled event.
-  std::uint64_t slot = global_slot(now_);
+  assert(now_day_ == global_slot(now_));
+  std::uint64_t slot = now_day_;
   for (std::size_t i = 0; i < num_buckets_; ++i, ++slot) {
     EventNode* head = buckets_[slot & bucket_mask_].head;
-    if (head != nullptr && global_slot(head->time) <= slot) return head;
+    if (head != nullptr && head->day <= slot) return head;
   }
   // Nothing due within one full ring revolution of now(): the next event is
   // more than buckets*width away. Direct min search over the bucket heads
@@ -220,10 +225,15 @@ void Engine::rebuild(std::size_t new_buckets) {
     width = std::max(width, std::max(std::abs(hi), 1.0) * 1e-12);
   }
   width_ = width;
+  now_day_ = global_slot(now_);
 
-  // Heads are sorted, so each one links at its new bucket's tail.
-  for (EventNode* head : rebuild_scratch_)
-    link_head(buckets_[global_slot(head->time) & bucket_mask_], head, nullptr);
+  // Heads are sorted, so each one links at its new bucket's tail. Only
+  // heads get a fresh day: a follower's is never read before it is
+  // promoted, and promotion hands it the head's.
+  for (EventNode* head : rebuild_scratch_) {
+    head->day = global_slot(head->time);
+    link_head(buckets_[head->day & bucket_mask_], head, nullptr);
+  }
   rebuild_scratch_.clear();
 }
 
@@ -317,8 +327,9 @@ bool Engine::step(Time limit) {
   if (node->time > limit) return false;
   bucket_unlink(node);
   --pending_count_;
-  assert(node->time >= now_);
+  assert(node->time >= now_ && node->day == global_slot(node->time));
   now_ = node->time;
+  now_day_ = node->day;
   ++events_processed_;
   if (events_counter_ != nullptr) events_counter_->add();
   if (time_log_ != nullptr) time_log_->push_back(now_);
@@ -340,7 +351,10 @@ std::size_t Engine::run() {
 std::size_t Engine::run_until(Time t) {
   std::size_t processed = 0;
   while (step(t)) ++processed;
-  if (!stop_requested_ && std::isfinite(t) && t > now_) now_ = t;
+  if (!stop_requested_ && std::isfinite(t) && t > now_) {
+    now_ = t;
+    now_day_ = global_slot(t);
+  }
   return processed;
 }
 

@@ -153,9 +153,12 @@ class Engine {
   /// ring (tie_prev/tie_next, the head's tie_prev being the newest member).
   /// An idle node is on the free list (next only). `gen` advances every time
   /// the node is released, invalidating outstanding EventIds that still
-  /// point at the slot.
+  /// point at the slot. `day` is global_slot(time), stored at insertion; a
+  /// rebuild refreshes it on heads only, and a follower promoted to head
+  /// takes its head's, so a head's `day` is always current.
   struct EventNode {
     Time time = 0.0;
+    std::uint64_t day = 0;
     EventNode* prev = nullptr;
     EventNode* next = nullptr;
     EventNode* tie_prev = nullptr;
@@ -176,8 +179,10 @@ class Engine {
   static constexpr std::size_t kMinBuckets = 4;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
-  /// Global bucket-ring slot for time `t` (year * buckets + bucket). Huge
-  /// and infinite times park in a saturated far-future slot.
+  /// Global bucket-ring slot, or day, of time `t` (year * buckets + bucket):
+  /// t / width, truncated. Huge and infinite times park in a saturated
+  /// far-future slot. Nodes and now() cache theirs, so the scan and unlink
+  /// never divide.
   [[nodiscard]] std::uint64_t global_slot(Time t) const noexcept;
 
   EventNode* acquire_node();
@@ -191,13 +196,13 @@ class Engine {
   void bucket_unlink(EventNode* node) noexcept;
 
   /// The pending event that fires next, or nullptr. Scans the calendar ring
-  /// from now()'s bucket; falls back to a direct search when nothing is due
-  /// within one full ring revolution.
+  /// from now()'s bucket, comparing the heads' stored days; falls back to a
+  /// direct search when nothing is due within one full ring revolution.
   [[nodiscard]] EventNode* find_min() noexcept;
 
   /// Re-buckets every group into `new_buckets` buckets with a fresh width
-  /// estimate, rings intact. Deterministic: depends only on the queue
-  /// contents.
+  /// estimate, rings intact, and recomputes now()'s and every head's day.
+  /// Deterministic: depends only on the queue contents.
   void rebuild(std::size_t new_buckets);
   void maybe_shrink();
 
@@ -205,6 +210,7 @@ class Engine {
   bool step(Time limit);
 
   Time now_ = 0.0;
+  std::uint64_t now_day_ = 0;  // global_slot(now_) under the current width
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
 

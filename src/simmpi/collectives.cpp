@@ -50,7 +50,7 @@ Payload payload_sum(const Payload& a, const Payload& b) {
       throw std::invalid_argument("payload_sum: length mismatch");
     std::vector<double> sum(av.size());
     for (std::size_t i = 0; i < sum.size(); ++i) sum[i] = av[i] + bv[i];
-    return Payload::of(std::move(sum));
+    return Payload::of(sum);
   }
   return Payload::sized(std::max(a.size_bytes(), b.size_bytes()));
 }

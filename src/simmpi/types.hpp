@@ -6,14 +6,18 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/cotask.hpp"
 #include "sim/task.hpp"
 #include "util/pool.hpp"
+#include "util/rc.hpp"
 #include "util/units.hpp"
 
 namespace redcr::simmpi {
@@ -36,12 +40,39 @@ inline constexpr int kCollectiveTagBase = 1 << 27;
 inline constexpr int kControlTagBase = 1 << 28;
 inline constexpr int kQuiesceTagBase = 1 << 30;
 
-/// Message payload: either real data (a shared immutable vector of doubles)
-/// or a declared byte size for timing-only simulation. Experiment harnesses
-/// use sized payloads to keep memory flat; correctness tests use real data.
+/// Message payload: either real data (an immutable array of doubles that
+/// every copy shares) or a declared byte size for timing-only simulation.
+/// Experiment harnesses use sized payloads to keep memory flat; correctness
+/// tests use real data.
+///
+/// Real data lives in one util::BlockPool block: a share count, the length
+/// and the doubles. A copy shares the block, so a replica fan-out copies no
+/// values, and a payload of up to 126 values never reaches the general
+/// allocator. Like util::Rc's, the count is not atomic: every copy of a
+/// payload stays on the thread that runs its job.
 class Payload {
  public:
   Payload() = default;
+  Payload(const Payload& other) noexcept
+      : block_(other.block_), bytes_(other.bytes_), strain_(other.strain_) {
+    if (block_ != nullptr) ++block_->refs;
+  }
+  Payload(Payload&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)),
+        bytes_(other.bytes_),
+        strain_(other.strain_) {}
+  Payload& operator=(const Payload& other) noexcept {
+    Payload(other).swap(*this);
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    Payload(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Payload() {
+    if (block_ != nullptr && --block_->refs == 0)
+      util::BlockPool::deallocate(block_, Block::bytes_for(block_->size));
+  }
 
   /// Timing-only payload of `bytes` bytes.
   static Payload sized(util::Bytes bytes) {
@@ -51,19 +82,25 @@ class Payload {
     return p;
   }
 
-  /// Real-data payload; size is 8 bytes per element.
-  static Payload of(std::vector<double> values) {
+  /// Real-data payload; size is 8 bytes per element. With no values it
+  /// still has data (and hashes to the FNV-1a basis).
+  static Payload of(std::span<const double> values) {
     Payload p;
     p.bytes_ = 8.0 * static_cast<double>(values.size());
-    p.data_ = std::make_shared<const std::vector<double>>(std::move(values));
+    p.block_ = ::new (util::BlockPool::allocate(Block::bytes_for(
+        values.size()))) Block{1, values.size()};
+    std::uninitialized_copy(values.begin(), values.end(), p.block_->values());
     return p;
+  }
+  static Payload of(std::initializer_list<double> values) {
+    return of(std::span<const double>(values.begin(), values.size()));
   }
 
   [[nodiscard]] util::Bytes size_bytes() const noexcept { return bytes_; }
-  [[nodiscard]] bool has_data() const noexcept { return data_ != nullptr; }
+  [[nodiscard]] bool has_data() const noexcept { return block_ != nullptr; }
   [[nodiscard]] std::span<const double> values() const {
     assert(has_data());
-    return *data_;
+    return {block_->values(), block_->size};
   }
 
   /// Content hash (FNV-1a over the raw element bytes); timing-only payloads
@@ -71,10 +108,6 @@ class Payload {
   /// is how the redundancy layer's Msg-plus-hash mode and replica voting
   /// observe silent corruption of size-only payloads. Used by both.
   [[nodiscard]] std::uint64_t hash() const noexcept;
-
-  /// Byte-wise equality of contents (size equality for timing-only).
-  /// Payloads carrying different corruption strains never compare equal.
-  friend bool operator==(const Payload& a, const Payload& b) noexcept;
 
   /// A copy of this payload silently corrupted by `strain` — a nonzero
   /// identifier of the injection event that flipped it. Two payloads hit by
@@ -95,7 +128,25 @@ class Payload {
   [[nodiscard]] bool tainted() const noexcept { return strain_ != 0; }
 
  private:
-  std::shared_ptr<const std::vector<double>> data_;
+  /// Header of a data block; the doubles follow it in the same block.
+  struct Block {
+    std::size_t refs;
+    std::size_t size;
+
+    static constexpr std::size_t bytes_for(std::size_t size) noexcept {
+      return sizeof(Block) + size * sizeof(double);
+    }
+    double* values() noexcept { return reinterpret_cast<double*>(this + 1); }
+  };
+  static_assert(sizeof(Block) % alignof(double) == 0);
+
+  void swap(Payload& other) noexcept {
+    std::swap(block_, other.block_);
+    std::swap(bytes_, other.bytes_);
+    std::swap(strain_, other.strain_);
+  }
+
+  Block* block_ = nullptr;
   util::Bytes bytes_ = 0.0;
   std::uint64_t strain_ = 0;
 };
@@ -104,8 +155,7 @@ class Payload {
 /// inside co_await expressions: GCC 12 cannot place a brace-init-list's
 /// backing array into a coroutine frame ("array used as initializer").
 inline Payload scalar_payload(double value) {
-  std::vector<double> data(1, value);
-  return Payload::of(std::move(data));
+  return Payload::of(std::span<const double>(&value, 1));
 }
 
 /// Addressing triple of a message.
@@ -142,14 +192,13 @@ struct RequestState {
   RequestState& operator=(const RequestState&) = delete;
 };
 
-using Request = std::shared_ptr<RequestState>;
+/// Handle to a request's state. A job's requests never leave the thread
+/// that runs it, so the handle's count is not atomic (util::Rc).
+using Request = util::Rc<RequestState>;
 
-/// A fresh request. Its state and control block come from the per-thread
-/// block pool: requests are created and dropped once or more per message.
-inline Request make_request() {
-  return std::allocate_shared<RequestState>(
-      util::PoolAllocator<RequestState>{});
-}
+/// A fresh request: its state and count share one pooled block. Requests
+/// are made and dropped once or more per message.
+inline Request make_request() { return Request::make(); }
 
 /// Canonical completion path: sets the flag, wakes waiters, runs the hook.
 inline void complete_request(RequestState& request, sim::Engine& engine) {
@@ -190,8 +239,10 @@ class [[nodiscard]] RequestAwaiter {
   void await_suspend(std::coroutine_handle<> h) {
     request_->done.wait().await_suspend(h);
   }
-  Result await_resume() const {
-    if constexpr (!std::is_void_v<Result>) return request_->message;
+  /// A receive has exactly one awaiter, so the message moves out.
+  Result await_resume() {
+    if constexpr (!std::is_void_v<Result>)
+      return std::move(request_->message);
   }
 
  private:

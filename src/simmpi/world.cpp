@@ -15,9 +15,9 @@ std::uint64_t Payload::hash() const noexcept {
       h *= 0x100000001b3ULL;
     }
   };
-  if (data_) {
-    mix(reinterpret_cast<const unsigned char*>(data_->data()),
-        data_->size() * sizeof(double));
+  if (has_data()) {
+    const std::span<const double> data = values();
+    mix(reinterpret_cast<const unsigned char*>(data.data()), data.size_bytes());
   } else {
     mix(reinterpret_cast<const unsigned char*>(&bytes_), sizeof(bytes_));
   }
@@ -31,15 +31,6 @@ std::uint64_t Payload::hash() const noexcept {
     h ^= z ^ (z >> 31);
   }
   return h;
-}
-
-bool operator==(const Payload& a, const Payload& b) noexcept {
-  if (a.strain_ != b.strain_) return false;
-  if (a.bytes_ != b.bytes_) return false;
-  if (a.has_data() != b.has_data()) return false;
-  if (!a.has_data()) return true;
-  return *a.data_ == *b.data_ ||
-         std::equal(a.data_->begin(), a.data_->end(), b.data_->begin());
 }
 
 int Endpoint::size() const noexcept { return world_->size(); }

@@ -1,10 +1,12 @@
 // Allocation budget of the simulator's hot path. Coroutine frames, request
-// states and the redundancy layer's fan-out and copy-set bookkeeping come
-// from util::BlockPool, and every completion hook fits std::function's
-// inline buffer, so a whole JobExecutor::run() calls the global operator
-// new far less than once per engine event. A new per-message heap
-// allocation anywhere on the path shows up here as one call per event or
-// more.
+// states, data payloads and the redundancy layer's fan-out and copy-set
+// bookkeeping come from util::BlockPool, and every completion hook fits
+// std::function's inline buffer, so a whole JobExecutor::run() calls the
+// global operator new far less than once per engine event (0.058 here:
+// 2 432 calls for 41 599 events). A new per-message heap allocation
+// anywhere on the path shows up here as one call per event or more; the
+// 0.1 bound also catches the quiesce and agreement payloads going back to
+// the heap (0.180 when each took a vector and a shared_ptr block).
 //
 // This binary replaces the global operator new/delete with counting
 // forwards to malloc/free, which is why it is a test target of its own.
@@ -85,7 +87,7 @@ TEST(AllocBudget, JobRunStaysOffTheHeap) {
   ASSERT_GT(report.engine_events, 0u);
   const double per_event = static_cast<double>(calls) /
                            static_cast<double>(report.engine_events);
-  EXPECT_LT(per_event, 0.5)
+  EXPECT_LT(per_event, 0.1)
       << calls << " operator new calls for " << report.engine_events
       << " engine events";
 }

@@ -8,18 +8,23 @@
 //     sim::Engine and on an in-test reference scheduler (a (time, seq)
 //     min-heap with tombstone cancellation — the pre-overhaul queue),
 //     asserting identical firing order at every step, including a
-//     tie-heavy script whose callbacks schedule and cancel same-time events;
+//     tie-heavy script whose callbacks schedule and cancel same-time events
+//     and a script that promotes followers whose stored slot predates a
+//     rebuild;
 //   * model::evaluate_batch compared bitwise against the scalar predict()
 //     loop over the paper's Table 4 grid, serial and threaded;
 //   * unit tests for the supporting containers (util::FlatMap64,
 //     net::Arena).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <queue>
 #include <string>
 #include <utility>
@@ -312,6 +317,108 @@ void run_tied_lockstep_script(std::uint64_t seed) {
 TEST(EnginePerfSemantics, TiedSchedulesMatchReferenceHeap) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed)
     run_tied_lockstep_script(seed);
+}
+
+// Lockstep script aimed at the stored days (global slots): rebuilds change
+// the bucket width while rings have followers, and heads are then fired or
+// cancelled, so followers whose day was computed under an older width are
+// promoted. A model of the groups (the live labels of each timestamp, in
+// scheduling order) counts those promotions, and the script must make
+// some. Each stage also ends with a run_until() that moves now() to a time
+// no event had, followed by events scheduled at exactly that time.
+TEST(EnginePerfSemantics, FollowersPromotedAfterRebuildsKeepOrder) {
+  sim::Engine engine;
+  RefScheduler ref;
+  std::vector<std::size_t> engine_fired, ref_fired;
+  std::vector<sim::EventId> engine_ids;
+  std::vector<std::uint64_t> ref_ids;
+  std::vector<double> time_of, width_of;  // by label
+  std::vector<bool> live;                 // by label
+  std::map<double, std::deque<std::size_t>> groups;  // live labels per time
+  // The width as of the last call into the engine: a pop or cancel unlinks
+  // (and promotes) before any shrink that call makes, and an insert
+  // computes its day before any grow.
+  double width = engine.queue_stats().bucket_width;
+  std::size_t stale_promotions = 0;
+
+  const auto observe = [&] { width = engine.queue_stats().bucket_width; };
+  const auto leave = [&](std::size_t label) {
+    live[label] = false;
+    const auto group = groups.find(time_of[label]);
+    std::deque<std::size_t>& members = group->second;
+    const bool was_head = members.front() == label;
+    members.erase(std::find(members.begin(), members.end(), label));
+    if (members.empty())
+      groups.erase(group);
+    else if (was_head && width_of[members.front()] != width)
+      ++stale_promotions;
+  };
+  const auto schedule = [&](double t) {
+    const std::size_t label = time_of.size();
+    time_of.push_back(t);
+    width_of.push_back(width);
+    live.push_back(true);
+    groups[t].push_back(label);
+    engine_ids.push_back(engine.schedule_at(t, [&, label] {
+      engine_fired.push_back(label);
+      leave(label);
+      observe();
+    }));
+    ref_ids.push_back(
+        ref.schedule_at(t, [&, label] { ref_fired.push_back(label); }));
+    observe();
+  };
+  const auto cancel = [&](std::size_t label) {
+    if (live[label]) leave(label);
+    engine.cancel(engine_ids[label]);
+    ref.cancel(ref_ids[label]);
+    observe();
+  };
+
+  Rng rng{0x5eed};
+  for (int stage = 0; stage < 8; ++stage) {
+    // Rise: distinct grid times with two to four events each; the calendar
+    // grows (and re-derives its width) several times on the way.
+    const double base = engine.now();
+    const std::uint64_t distinct = 100 + rng.below(300);
+    for (std::uint64_t j = 0; j < distinct; ++j)
+      for (std::uint64_t m = 2 + rng.below(3); m > 0; --m)
+        schedule(base + 1.0 + 0.5 * static_cast<double>(j));
+    // Cancels hit heads, followers, and fired or cancelled labels.
+    for (std::uint64_t i = rng.below(80); i > 0; --i)
+      cancel(rng.below(time_of.size()));
+    ASSERT_EQ(engine.pending_events(), ref.pending());
+
+    // Fire part of the queue (shrinks re-derive the width again), ending
+    // between two grid points after a hole of several bucket widths, so
+    // run_until() moves now() to a slot no event had.
+    const double limit =
+        base + 1.25 + 0.5 * static_cast<double>(rng.below(distinct));
+    for (std::size_t label = 0; label < time_of.size(); ++label)
+      if (live[label] && time_of[label] > limit - 8.0 && time_of[label] < limit)
+        cancel(label);
+    engine.run_until(limit);
+    ref.run_until(limit);
+    observe();
+    ASSERT_EQ(engine_fired, ref_fired)
+        << "diverged at stage " << stage << " (" << stale_promotions
+        << " stale promotions so far)";
+    ASSERT_EQ(engine.now(), limit);
+    // A group at exactly that time, with a follower, fired at once.
+    schedule(limit);
+    schedule(limit);
+    engine.run_until(limit);
+    ref.run_until(limit);
+    observe();
+    ASSERT_EQ(engine_fired, ref_fired) << "diverged at now() of stage "
+                                       << stage;
+  }
+  engine.run();
+  ref.run_until(std::numeric_limits<double>::infinity());
+  ASSERT_EQ(engine_fired, ref_fired) << "diverged at drain";
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_TRUE(groups.empty());
+  EXPECT_GT(stale_promotions, 0u);
 }
 
 TEST(EnginePerfSemantics, SameTimeBurstsFireInScheduleOrder) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -541,6 +542,17 @@ TEST(Injector, WearOutShapeConcentratesFailures) {
   EXPECT_GT(min_draw(3.0), 10.0 * min_draw(1.0));
 }
 
+/// The what() of the std::invalid_argument that FailureInjector throws for
+/// `params`, or "" if it accepts them.
+std::string rejection(const ReplicaMap& map, const FailureParams& params) {
+  try {
+    FailureInjector injector(map, params);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Injector, RejectsBadWeibullShape) {
   const ReplicaMap map(2, 1.0);
   FailureParams params;
@@ -556,6 +568,15 @@ TEST(Injector, RejectsBadWeibullShape) {
   }
   params.weibull_shape = 0.01;
   EXPECT_NO_THROW(FailureInjector(map, params));
+  // A rejected value prints as sent, however small (not "-0.000000").
+  params.weibull_shape = -1e-9;
+  EXPECT_EQ(rejection(map, params),
+            "redcr::failure::FailureParams: weibull_shape must be > 0, got "
+            "-1e-09");
+  params.weibull_shape = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(rejection(map, params),
+            "redcr::failure::FailureParams: weibull_shape must be > 0, got "
+            "nan");
 }
 
 TEST(Injector, RejectsNonPositiveMtbf) {
@@ -566,6 +587,11 @@ TEST(Injector, RejectsNonPositiveMtbf) {
   // An infinite MTBF has no finite scale (and u = 0 would draw inf·0).
   params.node_mtbf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(FailureInjector(map, params), std::invalid_argument);
+  // `--mtbf-hours -1e-12`: the rejection shows the seconds as sent.
+  params.node_mtbf = hours(-1e-12);
+  EXPECT_EQ(rejection(map, params),
+            "redcr::failure::FailureParams: node_mtbf must be > 0 s, got "
+            "-3.6e-09");
 }
 
 }  // namespace

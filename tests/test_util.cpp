@@ -12,12 +12,14 @@
 #include <iterator>
 #include <list>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
 #include "util/pool.hpp"
+#include "util/rc.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -416,6 +418,91 @@ TEST(BlockPool, AllocatorRecyclesSharedStateAndListNodes) {
   nodes.pop_front();
   nodes.push_back(4);
   EXPECT_EQ(nodes, (std::list<int, PoolAllocator<int>>{2, 3, 4}));
+}
+
+// --- Rc ----------------------------------------------------------------------
+
+/// Counts its own destructions, so a test sees a T destroyed exactly once.
+struct Tracked {
+  Tracked(int v, int& destroyed) : value(v), destroyed(&destroyed) {}
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { ++*destroyed; }
+  int value;
+  int* destroyed;
+};
+
+TEST(Rc, CopiesAndMovesShareOneObject) {
+  int destroyed = 0;
+  {
+    Rc<Tracked> a = Rc<Tracked>::make(7, destroyed);
+    EXPECT_EQ(a.use_count(), 1u);
+    Rc<Tracked> b = a;
+    EXPECT_EQ(b.get(), a.get());
+    EXPECT_EQ(a.use_count(), 2u);
+    Rc<Tracked> c = std::move(b);  // a move adds no share
+    EXPECT_FALSE(b);
+    EXPECT_EQ(b.use_count(), 0u);
+    EXPECT_EQ(c.use_count(), 2u);
+    EXPECT_EQ(c->value, 7);
+    Rc<Tracked> d;
+    EXPECT_FALSE(d);
+    d = c;
+    EXPECT_EQ(d.use_count(), 3u);
+    d = std::move(c);  // d's old share drops, c's moves in
+    EXPECT_FALSE(c);
+    EXPECT_EQ(d.use_count(), 2u);
+    a.reset();
+    EXPECT_EQ(d.use_count(), 1u);
+    EXPECT_EQ((*d).value, 7);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Rc, SelfAssignmentKeepsTheObject) {
+  int destroyed = 0;
+  Rc<Tracked> a = Rc<Tracked>::make(3, destroyed);
+  Rc<Tracked>& alias = a;
+  a = alias;
+  EXPECT_EQ(a.use_count(), 1u);
+  a = std::move(alias);
+  ASSERT_TRUE(a);
+  EXPECT_EQ(a.use_count(), 1u);
+  EXPECT_EQ(a->value, 3);
+  EXPECT_EQ(destroyed, 0);
+  a.reset();
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Rc, LastReleaseReturnsTheBlock) {
+  int destroyed = 0;
+  auto first = Rc<Tracked>::make(1, destroyed);
+  const void* const address = first.get();
+  auto copy = first;
+  first.reset();
+  EXPECT_EQ(destroyed, 0);  // the copy still holds it
+  copy.reset();
+  EXPECT_EQ(destroyed, 1);
+  // The block went back to this thread's free list, so the next make of
+  // the same size pops it again.
+  const auto second = Rc<Tracked>::make(2, destroyed);
+  EXPECT_EQ(second.get(), address);
+  EXPECT_EQ(second->value, 2);
+}
+
+struct ThrowsWhen {
+  explicit ThrowsWhen(bool fail) {
+    if (fail) throw std::runtime_error("constructor failed");
+  }
+};
+
+TEST(Rc, ThrowingConstructorReturnsTheBlock) {
+  auto made = Rc<ThrowsWhen>::make(false);
+  const void* const address = made.get();
+  made.reset();
+  EXPECT_THROW((void)Rc<ThrowsWhen>::make(true), std::runtime_error);
+  EXPECT_EQ(Rc<ThrowsWhen>::make(false).get(), address);
 }
 
 }  // namespace
