@@ -8,18 +8,17 @@
 //   * PlanRequest/PlanResponse are stable value types: a request is a
 //     scenario (CombinedConfig) plus a redundancy grid; a response is the
 //     evaluated sweep with the best degree resolved.
-//   * Planner owns the evaluation caches — a SphereTermCache for repeated
-//     single-point evaluate() calls and an LRU plan cache keyed by a
-//     canonical scenario hash, so replayed sweeps skip grid evaluation
-//     entirely. All entry points are thread-safe.
-//   * Counters (plan-cache hits/misses/evictions, evaluation totals) are
+//   * Planner owns an LRU plan cache keyed by a canonical scenario
+//     encoding, so replayed sweeps skip grid evaluation entirely; a hit
+//     allocates nothing. plan() and stats() are thread-safe.
+//   * Counters (plan-cache hits/misses/evictions, evaluated points) are
 //     exposed via stats() for export through the obs registry (the serve
 //     front-end publishes them as planner.plan_cache.* metrics).
 //
-// For one-off point sets that would not hit the plan cache, calling
-// model::predict / model::evaluate_batch directly is the engine used as
-// designed; the Planner adds caching and counters for repeated scenarios.
-// See DESIGN.md §12.
+// For single points and one-off point sets that would not hit the plan
+// cache, calling model::predict / model::evaluate_batch directly is the
+// engine used as designed; the Planner adds caching and counters for
+// repeated scenarios. See DESIGN.md §12.
 #pragma once
 
 #include <cstddef>
@@ -95,11 +94,6 @@ class Planner {
   /// semantics; 0 = hardware concurrency) and populate the cache.
   [[nodiscard]] PlanResponse plan(const PlanRequest& request, int jobs = 0);
 
-  /// Single-point exact evaluation against the planner's shared sphere-term
-  /// cache; bitwise-identical to model::predict(config, r).
-  [[nodiscard]] model::Prediction evaluate(const model::CombinedConfig& config,
-                                           double r);
-
   /// Monotonic counters since construction. Exported by the serve
   /// front-end through the obs registry as planner.* metrics.
   struct Stats {
@@ -107,22 +101,43 @@ class Planner {
     std::uint64_t plan_cache_misses = 0;
     std::uint64_t plan_cache_evictions = 0;
     std::uint64_t plans = 0;        ///< plan() calls answered
-    std::uint64_t evaluations = 0;  ///< evaluate() calls
+    std::uint64_t evaluations = 0;  ///< always 0: plan() answers sweeps
     std::uint64_t points = 0;       ///< model points computed (not cached)
   };
   [[nodiscard]] Stats stats() const;
 
  private:
+  /// A cached request's canonical encoding (model::plan_key_words) and its
+  /// model::plan_key_hash.
   struct PlanKey {
-    std::vector<std::uint64_t> words;  // canonical request encoding
+    std::vector<std::uint64_t> words;
     std::size_t hash = 0;
-    bool operator==(const PlanKey& other) const {
-      return hash == other.hash && words == other.words;
+  };
+  /// A request looked up as it stands: its words are generated, hashed
+  /// and compared on the fly, never stored.
+  struct RequestKey {
+    const PlanRequest* request;
+    std::size_t hash;
+  };
+  /// The index holds a pointer to its entry's key, so each key is stored
+  /// once; lookups by RequestKey are heterogeneous.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(const PlanKey* key) const noexcept {
+      return key->hash;
+    }
+    std::size_t operator()(const RequestKey& key) const noexcept {
+      return key.hash;
     }
   };
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanKey& key) const noexcept {
-      return key.hash;
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const PlanKey* a, const PlanKey* b) const noexcept {
+      return a == b || (a->hash == b->hash && a->words == b->words);
+    }
+    bool operator()(const RequestKey& a, const PlanKey* b) const noexcept;
+    bool operator()(const PlanKey* a, const RequestKey& b) const noexcept {
+      return (*this)(b, a);
     }
   };
   struct CacheEntry {
@@ -131,13 +146,11 @@ class Planner {
     std::size_t best_index = 0;
   };
 
-  [[nodiscard]] static PlanKey canonical_key(const PlanRequest& request);
-
   mutable std::mutex mutex_;
-  model::SphereTermCache sphere_cache_;  // for evaluate(); guarded by mutex_
   std::size_t capacity_;
   std::list<CacheEntry> lru_;  // front = most recent
-  std::unordered_map<PlanKey, std::list<CacheEntry>::iterator, PlanKeyHash>
+  std::unordered_map<const PlanKey*, std::list<CacheEntry>::iterator,
+                     KeyHash, KeyEqual>
       index_;
   Stats stats_;
 };

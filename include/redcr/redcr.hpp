@@ -19,7 +19,7 @@
 //   redcr::PlanRequest req;
 //   req.config = redcr::scenario().processes(50000).build();
 //   const auto plan = planner.plan(req);   // best degree: plan.best_r()
-//   const auto p = planner.evaluate(req.config, 2.0);  // one exact point
+//   const auto p = redcr::model::predict(req.config, 2.0);  // one point
 //
 // Minimal simulation example:
 //

@@ -187,15 +187,19 @@ echo "=== ci.sh: serve-mode replay smoke (ASan/UBSan) ==="
 # the sanitizer build and hold the response bytes to the committed golden:
 # serve responses are a documented determinism contract (independent of
 # --jobs, identical across reruns — see src/apps/serve.hpp). A second pass
-# with --jobs 2 pins the worker-count independence specifically, and the
+# with --jobs 2 pins the worker-count independence specifically, the
 # respelled log (every number written another JSON way) must read to the
-# same doubles and so give the same bytes.
+# same doubles and so give the same bytes, and so must the log with CRLF
+# line ends.
 "$FAULT_CLI" serve --replay tests/data/serve_requests.ndjson \
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: serve replay diverged from the golden" >&2; exit 1; }
 "$FAULT_CLI" serve --replay tests/data/serve_requests_respelled.ndjson \
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: respelled serve replay diverged" >&2; exit 1; }
+sed 's/$/\r/' tests/data/serve_requests.ndjson | "$FAULT_CLI" serve --replay - \
+  2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
+  || { echo "ci.sh: CRLF serve replay diverged" >&2; exit 1; }
 "$FAULT_CLI" serve --replay tests/data/serve_requests.ndjson --jobs 2 \
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: serve replay with --jobs 2 diverged" >&2; exit 1; }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "obs/flatjson.hpp"
@@ -47,7 +48,7 @@ util::FlagSet request_keys(Request& q) {
 }
 
 /// Parses one line into the request `keys` write, after its domain check.
-void parse_request(const std::string& line, std::size_t lineno,
+void parse_request(std::string_view line, std::size_t lineno,
                    const util::FlagSet& keys) {
   obs::FlatLineParser parser(line, lineno, "request");
   parser.parse_object([&](const std::string& key) {
@@ -108,12 +109,11 @@ void append_response(std::string& out, const Request& q,
   out += "}\n";
 }
 
-/// Nearest-rank percentile over an ascending-sorted sample.
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
+/// The nearest-rank index of percentile `p` in a sample of `n` > 0.
+std::size_t rank_index(double p, std::size_t n) {
+  const auto rank =
+      static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(n)));
+  return rank == 0 ? 0 : rank - 1;
 }
 
 }  // namespace
@@ -129,38 +129,40 @@ ServeReport serve_replay(const std::string& text, std::string& responses,
   std::vector<double> latencies_us;
   using clock = std::chrono::steady_clock;
   const auto t_begin = clock::now();
-  std::size_t pos = 0;
-  std::size_t lineno = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    ++lineno;
-    if (end > pos) {
-      const std::string line = text.substr(pos, end - pos);
-      q = defaults;
-      parse_request(line, lineno, keys);
-      if (q.id == 0.0) q.id = static_cast<double>(lineno);
-      const PlanRequest plan_request = to_plan(q, lineno, options);
-      const auto t0 = clock::now();
-      const PlanResponse plan = planner.plan(plan_request, options.jobs);
-      latencies_us.push_back(
-          std::chrono::duration<double, std::micro>(clock::now() - t0)
-              .count());
-      append_response(responses, q, plan);
-      ++report.requests;
-    }
-    pos = end + 1;
-  }
+  obs::for_each_line(text, [&](std::string_view line, std::size_t lineno) {
+    q = defaults;
+    parse_request(line, lineno, keys);
+    if (q.id == 0.0) q.id = static_cast<double>(lineno);
+    const PlanRequest plan_request = to_plan(q, lineno, options);
+    const auto t0 = clock::now();
+    const PlanResponse plan = planner.plan(plan_request, options.jobs);
+    latencies_us.push_back(
+        std::chrono::duration<double, std::micro>(clock::now() - t0).count());
+    append_response(responses, q, plan);
+    ++report.requests;
+  });
   report.seconds =
       std::chrono::duration<double>(clock::now() - t_begin).count();
   report.qps = report.seconds > 0.0
                    ? static_cast<double>(report.requests) / report.seconds
                    : 0.0;
-  std::sort(latencies_us.begin(), latencies_us.end());
-  report.p50_us = percentile(latencies_us, 50.0);
-  report.p90_us = percentile(latencies_us, 90.0);
-  report.p99_us = percentile(latencies_us, 99.0);
-  report.max_us = latencies_us.empty() ? 0.0 : latencies_us.back();
+  if (!latencies_us.empty()) {
+    // Nearest-rank percentiles by selection, largest rank first: each
+    // nth_element leaves everything below its rank in front of it, so the
+    // next, smaller rank is selected within that prefix.
+    const auto at = [&](std::size_t i) { return latencies_us.begin() + i; };
+    const std::size_t n = latencies_us.size();
+    const std::size_t i99 = rank_index(99.0, n);
+    const std::size_t i90 = rank_index(90.0, n);
+    const std::size_t i50 = rank_index(50.0, n);
+    report.max_us = *std::max_element(at(0), at(n));
+    std::nth_element(at(0), at(i99), at(n));
+    std::nth_element(at(0), at(i90), at(i99));
+    std::nth_element(at(0), at(i50), at(i90));
+    report.p99_us = *at(i99);
+    report.p90_us = *at(i90);
+    report.p50_us = *at(i50);
+  }
   report.stats = planner.stats();
   return report;
 }

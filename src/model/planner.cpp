@@ -5,11 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 
-#include "model/combined.hpp"
 #include "model/plan_key.hpp"
-#include "model/redundancy.hpp"
 
 namespace redcr {
 namespace {
@@ -34,21 +33,84 @@ std::size_t pick_best(const std::vector<model::Prediction>& sweep) {
   return best;
 }
 
-std::vector<double> grid_degrees(const PlanRequest& request) {
-  if (!request.degrees.empty()) return request.degrees;
-  assert(request.r_begin >= 1.0 && request.r_end >= request.r_begin &&
-         request.r_step > 0.0);
-  // Integer-counter walk, mirroring model::sweep_redundancy, so the grid
-  // carries no accumulated floating-point step error.
-  const auto count = static_cast<std::size_t>(std::round(
-                         (request.r_end - request.r_begin) / request.r_step)) +
-                     1;
-  std::vector<double> degrees;
-  degrees.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    degrees.push_back(request.r_begin +
-                      static_cast<double>(i) * request.r_step);
-  return degrees;
+/// The degrees a request sweeps, read one at a time: the explicit list, or
+/// the range's integer-counter walk (mirroring model::sweep_redundancy, so
+/// the grid carries no accumulated floating-point step error).
+class Grid {
+ public:
+  explicit Grid(const PlanRequest& request)
+      : request_(request), size_(request.degrees.size()) {
+    if (size_ == 0) {
+      assert(request.r_begin >= 1.0 && request.r_end >= request.r_begin &&
+             request.r_step > 0.0);
+      size_ = static_cast<std::size_t>(std::round(
+                  (request.r_end - request.r_begin) / request.r_step)) +
+              1;
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] double operator[](std::size_t i) const {
+    return request_.degrees.empty()
+               ? request_.r_begin + static_cast<double>(i) * request_.r_step
+               : request_.degrees[i];
+  }
+
+ private:
+  const PlanRequest& request_;
+  std::size_t size_;
+};
+
+/// The words before the grid's degrees in a canonical key.
+constexpr std::size_t kHeaderWords = 14;
+
+/// Calls `emit(word)` for each word of the request's canonical key, in
+/// model::plan_key_words order. The grid is encoded by the degrees it
+/// expands to, so an explicit degree list and the equivalent range
+/// spelling hit the same entry.
+template <class Emit>
+void for_each_key_word(const PlanRequest& request, const Grid& grid,
+                       Emit&& emit) {
+  const model::CombinedConfig& c = request.config;
+  emit(canon(c.app.base_time));
+  emit(canon(c.app.comm_fraction));
+  emit(static_cast<std::uint64_t>(c.app.num_procs));
+  emit(canon(c.machine.node_mtbf));
+  emit(canon(c.machine.checkpoint_cost));
+  emit(canon(c.machine.restart_cost));
+  emit(static_cast<std::uint64_t>(c.failure_model));
+  emit(static_cast<std::uint64_t>(c.restart_model));
+  emit(c.fixed_interval.has_value() ? 1u : 0u);
+  emit(c.fixed_interval ? canon(*c.fixed_interval) : 0u);
+  emit(c.use_young_interval ? 1u : 0u);
+  emit(static_cast<std::uint64_t>(request.mode));
+  emit(request.simplified ? 1u : 0u);
+  emit(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) emit(canon(grid[i]));
+}
+
+/// plan_key_hash's state, fed one word at a time: FNV-1a's
+/// xor-then-multiply step over whole words, with a dense odd multiplier
+/// (2^64 / golden ratio) so one step carries a word's low bits into the
+/// whole upper part. Each step is a bijection of the state for a fixed
+/// word, so keys differing in one word never collide. The multiply moves
+/// differences only upward; the fold brings the high half down for tables
+/// that index by the low bits.
+class KeyHasher {
+ public:
+  void add(std::uint64_t w) noexcept { h_ = (h_ ^ w) * 0x9e3779b97f4a7c15ull; }
+  [[nodiscard]] std::size_t finish() const noexcept {
+    return static_cast<std::size_t>(h_ ^ (h_ >> 32));
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;  // FNV-1a offset basis
+};
+
+std::size_t request_hash(const PlanRequest& request) {
+  KeyHasher hasher;
+  for_each_key_word(request, Grid(request),
+                    [&](std::uint64_t w) { hasher.add(w); });
+  return hasher.finish();
 }
 
 }  // namespace
@@ -61,57 +123,40 @@ Planner::~Planner() = default;
 namespace model {
 
 std::vector<std::uint64_t> plan_key_words(const PlanRequest& request) {
-  // Encode the grid by the degrees it expands to, so an explicit degree
-  // list and the equivalent range parameters hit the same entry.
-  const std::vector<double> degrees = grid_degrees(request);
+  const Grid grid(request);
   std::vector<std::uint64_t> words;
-  words.reserve(14 + degrees.size());  // the 14 words below, then the grid
-  const CombinedConfig& c = request.config;
-  words.push_back(canon(c.app.base_time));
-  words.push_back(canon(c.app.comm_fraction));
-  words.push_back(static_cast<std::uint64_t>(c.app.num_procs));
-  words.push_back(canon(c.machine.node_mtbf));
-  words.push_back(canon(c.machine.checkpoint_cost));
-  words.push_back(canon(c.machine.restart_cost));
-  words.push_back(static_cast<std::uint64_t>(c.failure_model));
-  words.push_back(static_cast<std::uint64_t>(c.restart_model));
-  words.push_back(c.fixed_interval.has_value() ? 1u : 0u);
-  words.push_back(c.fixed_interval ? canon(*c.fixed_interval) : 0u);
-  words.push_back(c.use_young_interval ? 1u : 0u);
-  words.push_back(static_cast<std::uint64_t>(request.mode));
-  words.push_back(request.simplified ? 1u : 0u);
-  words.push_back(degrees.size());
-  for (double d : degrees) words.push_back(canon(d));
+  words.reserve(kHeaderWords + grid.size());
+  for_each_key_word(request, grid,
+                    [&](std::uint64_t w) { words.push_back(w); });
   return words;
 }
 
 std::size_t plan_key_hash(std::span<const std::uint64_t> words) noexcept {
-  // FNV-1a's xor-then-multiply step over whole words, with a dense odd
-  // multiplier (2^64 / golden ratio) so one step carries a word's low bits
-  // into the whole upper part. Each step is a bijection of the state for a
-  // fixed word, so keys differing in one word never collide. The multiply
-  // moves differences only upward; the fold brings the high half down for
-  // tables that index by the low bits.
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const std::uint64_t w : words) h = (h ^ w) * 0x9e3779b97f4a7c15ull;
-  return static_cast<std::size_t>(h ^ (h >> 32));
+  KeyHasher hasher;
+  for (const std::uint64_t w : words) hasher.add(w);
+  return hasher.finish();
 }
 
 }  // namespace model
 
-Planner::PlanKey Planner::canonical_key(const PlanRequest& request) {
-  PlanKey key;
-  key.words = model::plan_key_words(request);
-  key.hash = model::plan_key_hash(key.words);
-  return key;
+bool Planner::KeyEqual::operator()(const RequestKey& a,
+                                   const PlanKey* b) const noexcept {
+  const Grid grid(*a.request);
+  if (a.hash != b->hash || b->words.size() != kHeaderWords + grid.size())
+    return false;
+  const std::uint64_t* word = b->words.data();
+  bool same = true;
+  for_each_key_word(*a.request, grid,
+                    [&](std::uint64_t w) { same &= *word++ == w; });
+  return same;
 }
 
 PlanResponse Planner::plan(const PlanRequest& request, int jobs) {
-  PlanKey key = canonical_key(request);
+  const RequestKey probe{&request, request_hash(request)};
   {
     std::lock_guard lock(mutex_);
     ++stats_.plans;
-    auto it = index_.find(key);
+    auto it = index_.find(probe);
     if (it != index_.end()) {
       ++stats_.plan_cache_hits;
       lru_.splice(lru_.begin(), lru_, it->second);  // promote to front
@@ -121,50 +166,40 @@ PlanResponse Planner::plan(const PlanRequest& request, int jobs) {
   }
 
   // Evaluate outside the lock: grid evaluation is the expensive part and
-  // must not serialize concurrent planners on distinct scenarios.
+  // must not serialize concurrent planners on distinct scenarios. A range
+  // grid is expanded here, once; the key's words are written straight
+  // into the entry.
   model::BatchOptions options;
   options.jobs = jobs;
   options.mode = request.mode;
   options.simplified = request.simplified;
-  const std::vector<double> degrees = grid_degrees(request);
+  std::vector<double> range;
+  std::span<const double> degrees = request.degrees;
+  if (degrees.empty()) {
+    const Grid grid(request);
+    range.resize(grid.size());
+    for (std::size_t i = 0; i < range.size(); ++i) range[i] = grid[i];
+    degrees = range;
+  }
   auto sweep = std::make_shared<const std::vector<model::Prediction>>(
       model::evaluate_batch(request.config, degrees, options));
   const std::size_t best = pick_best(*sweep);
+  PlanKey key{model::plan_key_words(request), probe.hash};
 
   std::lock_guard lock(mutex_);
   stats_.points += sweep->size();
   // Re-check: a concurrent plan() for the same scenario may have landed
   // while we evaluated. First writer wins; both computed identical data.
-  auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (index_.find(probe) == index_.end()) {
     lru_.push_front(CacheEntry{std::move(key), sweep, best});
-    index_.emplace(lru_.front().key, lru_.begin());
+    index_.emplace(&lru_.front().key, lru_.begin());
     while (capacity_ > 0 && lru_.size() > capacity_) {
-      index_.erase(lru_.back().key);
+      index_.erase(&lru_.back().key);
       lru_.pop_back();
       ++stats_.plan_cache_evictions;
     }
   }
   return {std::move(sweep), best, /*from_cache=*/false};
-}
-
-model::Prediction Planner::evaluate(const model::CombinedConfig& config,
-                                    double r) {
-  std::lock_guard lock(mutex_);
-  ++stats_.evaluations;
-  ++stats_.points;
-  // Warm the planner's sphere-term cache, then evaluate through it:
-  // repeated queries against the same (pf, degree) terms skip the Eq. 9
-  // log/log1p work. Bitwise-identical to predict(config, r): lookup()
-  // recomputes exactly what warm() stored.
-  const model::Partition part =
-      model::partition_processes(config.app.num_procs, r);
-  const double t_red = model::redundant_time(config.app, r);
-  const double pf = model::node_failure_probability(
-      t_red, config.machine.node_mtbf, config.failure_model);
-  if (part.n_floor_set > 0) sphere_cache_.warm(pf, part.floor_degree);
-  sphere_cache_.warm(pf, part.ceil_degree);
-  return model::predict(config, r, &sphere_cache_);
 }
 
 Planner::Stats Planner::stats() const {

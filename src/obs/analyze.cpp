@@ -8,6 +8,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "obs/flatjson.hpp"
 
@@ -18,7 +19,7 @@ namespace {
 /// Journal field mapping over the shared flat-NDJSON tokenizer
 /// (obs/flatjson.hpp). Unknown numeric keys are ignored (forward
 /// compatibility).
-void parse_event_line(const std::string& line, std::size_t lineno,
+void parse_event_line(std::string_view line, std::size_t lineno,
                       Journal::Event& event) {
   FlatLineParser parser(line, lineno, "journal");
   parser.parse_object([&](const std::string& key) {
@@ -91,23 +92,14 @@ std::string level_label(int level) {
 
 std::vector<Journal::Event> parse_journal(const std::string& text) {
   std::vector<Journal::Event> events;
-  std::size_t pos = 0;
-  std::size_t lineno = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    ++lineno;
-    if (end > pos) {
-      Journal::Event event;
-      const std::string line = text.substr(pos, end - pos);
-      parse_event_line(line, lineno, event);
-      if (event.type.empty())
-        throw std::runtime_error("journal parse error at line " +
-                                 std::to_string(lineno) + ": event has no type");
-      events.push_back(std::move(event));
-    }
-    pos = end + 1;
-  }
+  for_each_line(text, [&](std::string_view line, std::size_t lineno) {
+    Journal::Event event;
+    parse_event_line(line, lineno, event);
+    if (event.type.empty())
+      throw std::runtime_error("journal parse error at line " +
+                               std::to_string(lineno) + ": event has no type");
+    events.push_back(std::move(event));
+  });
   return events;
 }
 

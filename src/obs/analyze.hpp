@@ -34,8 +34,9 @@ namespace redcr::obs {
 
 /// Parses journal NDJSON back into events. Accepts exactly what
 /// Journal::ndjson emits (flat objects, known keys; unknown keys are
-/// ignored for forward compatibility). Throws std::runtime_error naming
-/// the line on malformed input.
+/// ignored for forward compatibility), with LF or CRLF line ends and
+/// empty lines skipped. Throws std::runtime_error naming the line on
+/// malformed input.
 [[nodiscard]] std::vector<Journal::Event> parse_journal(
     const std::string& text);
 

@@ -11,7 +11,9 @@
 // tokenizer, the escape handling and the error reporting. Errors throw
 // std::runtime_error as "<context> parse error at line N: <what>" —
 // `context` names the log kind ("journal", "request"), so the journal
-// analyzer's historical error bytes are preserved exactly.
+// analyzer's historical error bytes are preserved exactly. Whitespace is
+// JSON's (RFC 8259: space, tab, LF, CR), and for_each_line() ends a line
+// at "\n" or "\r\n", so a CRLF log reads as its LF twin.
 #pragma once
 
 #include <charconv>
@@ -20,21 +22,42 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 
 namespace redcr::obs {
 
+/// Calls `f(line, lineno)` for each non-empty line of `text`, as a view
+/// into it. A line ends at '\n', and a '\r' before it (a CRLF line end)
+/// is dropped; `lineno` is 1-based and counts the empty lines too.
+template <class F>
+void for_each_line(std::string_view text, F&& f) {
+  std::size_t lineno = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    ++lineno;
+    std::string_view line = text.substr(pos, end - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) f(line, lineno);
+    pos = end + 1;
+  }
+}
+
 class FlatLineParser {
  public:
-  /// `line` must outlive the parser (it is referenced, not copied);
-  /// `lineno` is 1-based and only used in error messages.
-  FlatLineParser(const std::string& line, std::size_t lineno,
+  /// `line` must outlive the parser (it is viewed, not copied); `lineno`
+  /// is 1-based and only used in error messages.
+  FlatLineParser(std::string_view line, std::size_t lineno,
                  const char* context)
       : s_(line), lineno_(lineno), context_(context) {}
 
   /// Parses one `{"key": value, ...}` object spanning the whole line.
   /// For each key, `apply(key)` is invoked with the parser positioned at
   /// the value; the callback must consume it via parse_string() or
-  /// parse_number(). Trailing bytes after the object are an error.
+  /// parse_number(). `key` is the parser's one decoded-key buffer, valid
+  /// until the callback returns. Trailing bytes after the object are an
+  /// error.
   template <class Apply>
   void parse_object(Apply&& apply) {
     expect('{');
@@ -50,52 +73,19 @@ class FlatLineParser {
         skip_ws();
       }
       first = false;
-      const std::string key = parse_string();
+      read_string(key_);
       skip_ws();
       expect(':');
       skip_ws();
-      apply(key);
+      apply(std::as_const(key_));
     }
     skip_ws();
     if (pos_ != s_.size()) fail("trailing bytes after object");
   }
 
   std::string parse_string() {
-    expect('"');
     std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) fail("dangling escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            // Exactly four hex digits naming an ASCII code: the emitters
-            // escape only control bytes (< 0x20), and a wider code point
-            // has no one-byte spelling to read back as.
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const int digit = hex_digit(at(pos_));
-              if (digit < 0) fail("\\u escape needs four hex digits");
-              code = code * 16 + static_cast<unsigned>(digit);
-              ++pos_;
-            }
-            if (code >= 0x80) fail("\\u escape beyond ASCII");
-            out += static_cast<char>(code);
-            break;
-          }
-          default: fail("unknown escape"); break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    expect('"');
+    read_string(out);
     return out;
   }
 
@@ -132,13 +122,13 @@ class FlatLineParser {
     // [pos_, end) is a JSON numeral, which from_chars reads as strtod
     // does. Out of range it leaves `v` untouched, where strtod gives the
     // +-inf (overflow) and +-0 (underflow) that callers' domain checks
-    // rely on; the numeral stops at a non-number byte, so strtod stops at
-    // `end` too.
+    // rely on. The view need not be NUL-terminated, so strtod reads a
+    // terminated copy.
     const char* first = s_.data() + pos_;
     double v = 0.0;
     if (std::from_chars(first, s_.data() + end, v).ec ==
         std::errc::result_out_of_range)
-      v = std::strtod(first, nullptr);
+      v = std::strtod(std::string(first, end - pos_).c_str(), nullptr);
     numeral_ = std::string_view(first, end - pos_);
     pos_ = end;
     return v;
@@ -154,6 +144,46 @@ class FlatLineParser {
   }
 
  private:
+  /// Reads one JSON string into `out`, replacing its contents.
+  void read_string(std::string& out) {
+    expect('"');
+    out.clear();
+    while (true) {
+      // Copy the run up to the next quote or escape in one append.
+      std::size_t run = pos_;
+      while (run < s_.size() && s_[run] != '"' && s_[run] != '\\') ++run;
+      out.append(s_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (at(pos_) != '\\') break;
+      if (++pos_ >= s_.size()) fail("dangling escape");
+      const char e = s_[pos_++];
+      switch (e) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'u': {
+          // Exactly four hex digits naming an ASCII code: the emitters
+          // escape only control bytes (< 0x20), and a wider code point
+          // has no one-byte spelling to read back as.
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const int digit = hex_digit(at(pos_));
+            if (digit < 0) fail("\\u escape needs four hex digits");
+            code = code * 16 + static_cast<unsigned>(digit);
+            ++pos_;
+          }
+          if (code >= 0x80) fail("\\u escape beyond ASCII");
+          out += static_cast<char>(code);
+          break;
+        }
+        default: fail("unknown escape"); break;
+      }
+    }
+    expect('"');
+  }
+
   [[nodiscard]] char peek() const { return at(pos_); }
   [[nodiscard]] char at(std::size_t i) const {
     return i < s_.size() ? s_[i] : '\0';
@@ -168,7 +198,9 @@ class FlatLineParser {
   }
 
   void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                                s_[pos_] == '\r' || s_[pos_] == '\n'))
+      ++pos_;
   }
 
   void expect(char c) {
@@ -177,11 +209,12 @@ class FlatLineParser {
     ++pos_;
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::size_t lineno_;
   const char* context_;
   std::size_t pos_ = 0;
   std::string_view numeral_;
+  std::string key_;  // parse_object's decoded key, reused across keys
 };
 
 }  // namespace redcr::obs

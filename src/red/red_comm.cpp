@@ -187,78 +187,81 @@ void RedComm::count_arrived(CopySetList::iterator it) {
 
 sim::Task RedComm::drive_wildcard(int tag, Request parent) {
   const auto my_replicas = map_->replicas(virtual_rank_);
-  // Under live semantics the sphere leader is the first *live* replica (a
-  // leader death between instances fails over; a death mid-instance is a
-  // documented window).
-  Rank leader = my_replicas[0];
-  for (const Rank q : my_replicas) {
-    if (!dead(q)) {
-      leader = q;
-      break;
+  // Under live semantics the sphere leader is the first *live* replica. A
+  // sibling waits for the leader's envelope; if the leader dies first, the
+  // envelope receive comes back aborted and the sibling runs the instance
+  // again under the next live leader, which may be itself.
+  while (true) {
+    Rank leader = my_replicas[0];
+    for (const Rank q : my_replicas) {
+      if (!dead(q)) {
+        leader = q;
+        break;
+      }
     }
+    if (endpoint_->rank() == leader) break;
+    // Sibling side: learn the envelope from the leader, then post specific
+    // receives exactly like a non-wildcard receive.
+    const Request envelope =
+        endpoint_->irecv(leader, kEnvelopeTagOffset + tag);
+    const Message message = co_await wait(envelope);
+    if (envelope->aborted) continue;
+    post_copy_set(static_cast<Rank>(message.payload.values()[0]), tag,
+                  parent);
+    co_return;
   }
 
-  Rank src_virtual;
+  // Leader side. Serialize wildcard instances per tag: until the previous
+  // instance has posted its remaining-copy receives, our ANY_SOURCE receive
+  // could steal the *duplicate* copy of the previous instance's message
+  // (every sender replica posts a full copy under the application tag).
+  auto my_turn_done = util::Rc<sim::OneShotEvent>::make();
+  auto previous_turn = std::exchange(
+      wildcard_turn_[static_cast<std::uint64_t>(tag)], my_turn_done);
+  if (previous_turn) co_await previous_turn->wait();
+
+  // Step 1: only the sphere leader posts the physical wildcard receive.
+  // Hash copies travel in the private tag band, so in msg-plus-hash mode
+  // this can only match a full-payload copy.
+  Message first = co_await wait(endpoint_->irecv(kAnySource, tag));
+  const Rank src_virtual = map_->virtual_of(first.envelope.source);
+  // Step 2: forward the envelope (the winning virtual sender) to the live
+  // siblings.
+  for (const Rank sibling : my_replicas) {
+    if (sibling == endpoint_->rank() || dead(sibling)) continue;
+    endpoint_->isend(sibling, kEnvelopeTagOffset + tag,
+                     Payload::of({static_cast<double>(src_virtual)}));
+  }
+  // Step 3: post receives for the remaining copies of this message, then
+  // release the next wildcard instance — the specific receives are now
+  // ahead of its ANY_SOURCE receive in the posting order, so duplicates
+  // can no longer be stolen.
+  const Rank first_source = first.envelope.source;
   std::vector<Message> copies;
-  if (endpoint_->rank() == leader) {
-    // Serialize wildcard instances per tag: until the previous instance has
-    // posted its remaining-copy receives, our ANY_SOURCE receive could
-    // steal the *duplicate* copy of the previous instance's message (every
-    // sender replica posts a full copy under the application tag).
-    auto my_turn_done = util::Rc<sim::OneShotEvent>::make();
-    auto previous_turn = std::exchange(
-        wildcard_turn_[static_cast<std::uint64_t>(tag)], my_turn_done);
-    if (previous_turn) co_await previous_turn->wait();
-
-    // Step 1: only the sphere leader posts the physical wildcard receive.
-    // Hash copies travel in the private tag band, so in msg-plus-hash mode
-    // this can only match a full-payload copy.
-    Message first = co_await wait(endpoint_->irecv(kAnySource, tag));
-    src_virtual = map_->virtual_of(first.envelope.source);
-    // Step 2: forward the envelope (the winning virtual sender) to the
-    // live siblings.
-    for (const Rank sibling : my_replicas) {
-      if (sibling == endpoint_->rank() || dead(sibling)) continue;
-      endpoint_->isend(sibling, kEnvelopeTagOffset + tag,
-                       Payload::of({static_cast<double>(src_virtual)}));
-    }
-    // Step 3 (leader side): post receives for the remaining copies of this
-    // message, then release the next wildcard instance — the specific
-    // receives are now ahead of its ANY_SOURCE receive in the posting
-    // order, so duplicates can no longer be stolen.
-    const Rank first_source = first.envelope.source;
-    copies.push_back(std::move(first));
-    std::vector<Rank> live_src;
-    unsigned my_pos = 0;  // the leader receives the pairing slot of its
-                          // live index within its own sphere (0 by choice)
-    for (const Rank q : map_->replicas(src_virtual))
-      if (!dead(q)) live_src.push_back(q);
-    const auto src_degree = static_cast<unsigned>(live_src.size());
-    std::vector<Request> subs;
-    for (unsigned i = 0; i < src_degree; ++i) {
-      if (live_src[i] == first_source) continue;
-      const bool full = sends_full(i, my_pos, src_degree, config_->mode);
-      subs.push_back(endpoint_->irecv(live_src[i],
-                                      full ? tag : kHashTagOffset + tag));
-    }
-    my_turn_done->trigger(engine());
-    for (auto& sub : subs) {
-      Message copy = co_await wait(sub);
-      if (!sub->aborted) copies.push_back(std::move(copy));
-    }
-    std::array<const Message*, ReplicaMap::kMaxDegree> views{};
-    for (std::size_t i = 0; i < copies.size(); ++i) views[i] = &copies[i];
-    finalize(src_virtual, tag,
-             std::span<const Message* const>(views.data(), copies.size()),
-             parent);
-  } else {
-    // Step 3 (sibling side): learn the envelope from the leader, then post
-    // specific receives exactly like a non-wildcard receive.
-    Message envelope = co_await wait(
-        endpoint_->irecv(leader, kEnvelopeTagOffset + tag));
-    src_virtual = static_cast<Rank>(envelope.payload.values()[0]);
-    post_copy_set(src_virtual, tag, parent);
+  copies.push_back(std::move(first));
+  std::vector<Rank> live_src;
+  unsigned my_pos = 0;  // the leader receives the pairing slot of its
+                        // live index within its own sphere (0 by choice)
+  for (const Rank q : map_->replicas(src_virtual))
+    if (!dead(q)) live_src.push_back(q);
+  const auto src_degree = static_cast<unsigned>(live_src.size());
+  std::vector<Request> subs;
+  for (unsigned i = 0; i < src_degree; ++i) {
+    if (live_src[i] == first_source) continue;
+    const bool full = sends_full(i, my_pos, src_degree, config_->mode);
+    subs.push_back(
+        endpoint_->irecv(live_src[i], full ? tag : kHashTagOffset + tag));
   }
+  my_turn_done->trigger(engine());
+  for (auto& sub : subs) {
+    Message copy = co_await wait(sub);
+    if (!sub->aborted) copies.push_back(std::move(copy));
+  }
+  std::array<const Message*, ReplicaMap::kMaxDegree> views{};
+  for (std::size_t i = 0; i < copies.size(); ++i) views[i] = &copies[i];
+  finalize(src_virtual, tag,
+           std::span<const Message* const>(views.data(), copies.size()),
+           parent);
 }
 
 void RedComm::finish_copy_set(const CopySet& set) {

@@ -154,11 +154,11 @@ class RedComm final : public simmpi::Comm {
   void set_sdc(SdcPolicy* sdc) { sdc_ = sdc; }
 
   /// Enables live failure semantics against the given oracle (must outlive
-  /// this RedComm). Limitations: a wildcard receive whose sphere leader
-  /// dies *mid-instance* is not failed over (real RedMPI shares this
-  /// window); combined with coordinated checkpointing a dead rank cannot
-  /// join the collective quiesce — use bookkeeping mode there, as the
-  /// paper's experiments do.
+  /// this RedComm). A wildcard receive whose sphere leader dies before
+  /// forwarding the envelope fails over: each sibling reruns the instance
+  /// under the next live replica. Limitation: combined with coordinated
+  /// checkpointing a dead rank cannot join the collective quiesce — use
+  /// bookkeeping mode there, as the paper's experiments do.
   void set_liveness(const Liveness* liveness) { liveness_ = liveness; }
 
   /// Attaches an observability recorder (nullptr detaches). Feeds the

@@ -8,6 +8,9 @@
 // 0.1 bound also catches the quiesce and agreement payloads going back to
 // the heap (0.180 when each took a vector and a shared_ptr block).
 //
+// The serve replay has a budget too: heap calls only for plan-cache
+// misses, none for hits.
+//
 // This binary replaces the global operator new/delete with counting
 // forwards to malloc/free, which is why it is a test target of its own.
 #include <gtest/gtest.h>
@@ -15,9 +18,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <new>
+#include <sstream>
+#include <string>
 
+#include "apps/serve.hpp"
 #include "apps/synthetic.hpp"
 #include "runtime/executor.hpp"
 #include "util/units.hpp"
@@ -90,6 +97,41 @@ TEST(AllocBudget, JobRunStaysOffTheHeap) {
   EXPECT_LT(per_event, 0.1)
       << calls << " operator new calls for " << report.engine_events
       << " engine events";
+}
+
+TEST(AllocBudget, ServeReplayAllocatesOnlyForMisses) {
+  // A plan-cache hit allocates nothing: the request line is parsed in
+  // place, the cache is probed with the request itself, and the response
+  // is written into the caller's buffer. A miss allocates six times: its
+  // expanded grid, the sweep and its shared block, the key's words, and
+  // the LRU and index nodes. The rest is fixed set-up (the request schema,
+  // the planner, the latency vector's doublings, index rehashes). A replay
+  // of the checked-in log (98 requests, 20 misses) makes 134 calls; it
+  // made 423 when every request built its key in two fresh vectors and
+  // copied its line.
+  std::ifstream in(std::string(REDCR_TEST_DATA_DIR) + "/serve_requests.ndjson");
+  std::stringstream log;
+  log << in.rdbuf();
+  apps::ServeOptions options;
+  options.jobs = 1;
+  std::string responses;
+  (void)apps::serve_replay(log.str(), responses, options);  // warm-up
+  const std::size_t bytes = responses.size();
+  responses.clear();  // keeps its capacity
+
+  const std::uint64_t before = g_operator_new_calls.load();
+  const apps::ServeReport report =
+      apps::serve_replay(log.str(), responses, options);
+  const std::uint64_t calls = g_operator_new_calls.load() - before;
+
+  ASSERT_EQ(responses.size(), bytes);
+  ASSERT_EQ(report.requests, 98u);
+  ASSERT_GT(report.stats.plan_cache_hits, 3 * report.stats.plan_cache_misses);
+  constexpr std::uint64_t kPerMiss = 6;
+  constexpr std::uint64_t kFixed = 30;
+  EXPECT_LE(calls, kPerMiss * report.stats.plan_cache_misses + kFixed)
+      << calls << " operator new calls for " << report.requests
+      << " requests, " << report.stats.plan_cache_misses << " misses";
 }
 
 }  // namespace

@@ -154,6 +154,44 @@ TEST(Journal, EventsRoundTripThroughParseExactly) {
   EXPECT_EQ(parsed[1].detail, b.detail);
 }
 
+TEST(Journal, CrlfLinesParseAsTheirLfTwins) {
+  // JSON whitespace includes CR (RFC 8259), and a CRLF line end reads as
+  // an LF one, so a journal saved with CRLF line ends (blank lines
+  // included) parses to the same events, and a CR between tokens is
+  // whitespace like a space.
+  obs::Journal journal;
+  obs::Journal::Event a;
+  a.type = "sphere-death";
+  a.t = 123.456789012345678;
+  a.sphere = 2;
+  (void)journal.append(a);
+  obs::Journal::Event b;
+  b.type = "rework";
+  b.cause = 1;
+  b.dur = 0.1 + 0.2;
+  b.detail = "carriage\rreturn";  // an escaped CR stays in the string
+  (void)journal.append(b);
+  const std::string lf = journal.ndjson();
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  crlf += "\r\n";
+  crlf += "{\"id\":3,\r\"t\":\r 4.5 ,\"type\":\"abort\"}\r\n";
+
+  const std::vector<obs::Journal::Event> want = obs::parse_journal(lf);
+  const std::vector<obs::Journal::Event> got = obs::parse_journal(crlf);
+  ASSERT_EQ(want.size(), 2u);
+  ASSERT_EQ(got.size(), 3u);
+  obs::Journal again;
+  for (std::size_t i = 0; i < 2; ++i) (void)again.append(got[i]);
+  EXPECT_EQ(again.ndjson(), lf);
+  EXPECT_EQ(got[1].detail, b.detail);
+  EXPECT_EQ(got[2].type, "abort");
+  EXPECT_EQ(got[2].t, 4.5);
+}
+
 TEST(Journal, TimeOffsetPlacesEventsInJobTime) {
   obs::Journal journal;
   journal.set_time_offset(1000.0);

@@ -138,6 +138,37 @@ TEST(LiveRedComm, AbortCompletesPendingRecvFromCorpse) {
   EXPECT_DOUBLE_EQ(got[0].payload.values()[0], 8.0);
 }
 
+TEST(LiveRedComm, WildcardSiblingFailsOverWhenTheLeaderDiesMidInstance) {
+  LiveHarness h(2, 2.0);
+  // Both replicas of sphere 1 post a wildcard receive: the leader its
+  // ANY_SOURCE receive, the sibling its envelope receive from the leader.
+  const red::Rank leader = h.map.replicas(1)[0];
+  const red::Rank sibling = h.map.replicas(1)[1];
+  std::vector<simmpi::Message> got;
+  for (const red::Rank p : {leader, sibling})
+    h.engine.spawn(live_recv(*h.comms[static_cast<std::size_t>(p)],
+                             simmpi::kAnySource, 5, got));
+  h.engine.run();
+  EXPECT_TRUE(got.empty());
+
+  // The leader dies before any message arrives. The sibling's envelope
+  // receive is aborted; it becomes the leader and receives on its own.
+  h.liveness.dead[static_cast<std::size_t>(leader)] = true;
+  for (int p = 0; p < h.world.size(); ++p)
+    h.world.endpoint(p).abort_posted_from(leader);
+  h.engine.clear_stop();
+  for (const red::Rank p : h.map.replicas(0))
+    h.engine.spawn(
+        live_send(*h.comms[static_cast<std::size_t>(p)], 1, 5, 3.25));
+  h.engine.run();
+  ASSERT_EQ(got.size(), 1u);  // the dead leader's receive never completes
+  ASSERT_TRUE(got[0].payload.has_data());
+  EXPECT_DOUBLE_EQ(got[0].payload.values()[0], 3.25);
+  EXPECT_EQ(got[0].envelope.source, 0);  // the virtual sender
+  // Two live sender replicas x one live receiver replica, and no envelope.
+  EXPECT_EQ(h.world.stats().messages_sent, 2u);
+}
+
 // --- Full-stack live mode ----------------------------------------------------------
 
 runtime::JobConfig live_config(double r, double mtbf_hours) {

@@ -189,7 +189,7 @@ TEST(Json, NonIntegralValuesRoundTrip) {
 
 TEST(Json, AppendNumberMatchesPrintf) {
   // The number rule is specified as C-locale printf formats; snprintf is
-  // the reference the to_chars rendering must reproduce byte for byte.
+  // the reference the writer must reproduce byte for byte.
   const auto reference = [](double v) -> std::string {
     if (!std::isfinite(v)) return "null";
     char buf[32];
@@ -235,6 +235,40 @@ TEST(Json, AppendNumberMatchesPrintf) {
   std::uniform_int_distribution<int> step(0, 800);
   for (int i = 0; i < 100000; ++i)
     values.push_back(1.0 + 0.0025 * step(rng) + 1e-6 * (i % 7));
+  // Both edges of the exact 128-bit path (|v| near 1e-6 and near 2^127,
+  // where it hands over to to_chars): powers of two with their one-ulp
+  // neighbours, powers of ten, and random mantissas in those binades.
+  const auto with_neighbours = [&](double v) {
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(std::nextafter(v, limits::infinity()));
+  };
+  for (const int lo : {-30, 118}) {
+    for (int b = lo; b <= lo + 14; ++b) {
+      with_neighbours(std::ldexp(1.0, b));
+      for (int i = 0; i < 5000; ++i)
+        values.push_back(std::ldexp(
+            1.0 + static_cast<double>(rng() >> 12) * 0x1p-52, b));
+    }
+  }
+  for (int p = -9; p <= -5; ++p) with_neighbours(std::pow(10.0, p));
+  for (int p = 36; p <= 40; ++p) with_neighbours(std::pow(10.0, p));
+  // Exact half-way cases, where the 18th significant digit is a 5 and
+  // nothing follows: m / 2^n has exactly n decimals, so an odd m with
+  // m / 2^n in [10^(17-n), 10^(18-n)) ties at 17 digits and must round to
+  // even. (2^17 + k) / 2^17 walks every tie in [1, 2).
+  for (int k = 0; k < (1 << 17); ++k)
+    values.push_back((131072.0 + k) / 131072.0);
+  for (int n = 3; n <= 22; ++n) {
+    const double lo = std::ldexp(std::pow(10.0, 17 - n), n);
+    const double hi = std::min(std::ldexp(std::pow(10.0, 18 - n), n), k2p53);
+    std::uniform_real_distribution<double> mantissa(lo, hi);
+    for (int i = 0; i < 5000; ++i) {
+      const double m = std::floor(mantissa(rng) / 2) * 2 + 1;  // odd
+      values.push_back(std::ldexp(m, -n));
+      values.push_back(-std::ldexp(m, -n));
+    }
+  }
   ASSERT_GE(values.size(), 1000000u);
 
   std::size_t mismatches = 0;

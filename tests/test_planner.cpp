@@ -2,9 +2,10 @@
 // front-end behind it: the kExact bitwise contract, the kFast error
 // bound (with the Eq. 13 pole rule), grid-vs-span staging identity, the
 // LRU plan cache (hits, misses, evictions, canonical keying, full-key
-// compare on hash collisions, distinct keys hashing apart), serve-mode
-// replay determinism against the checked-in golden (from the respelled log
-// too), and the --jobs auto spelling.
+// compare on hash collisions, distinct keys hashing apart, concurrent
+// plans on one planner), serve-mode replay determinism against the
+// checked-in golden (from the respelled and CRLF logs too), the served
+// answer at the Eq. 13 pole, and the --jobs auto spelling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -203,15 +205,6 @@ TEST(Planner, PlanMatchesScalarSweepAndFindsBest) {
   EXPECT_EQ(response.best_r(), response.sweep()[best_index].r);
 }
 
-TEST(Planner, EvaluateIsBitwiseIdenticalToPredict) {
-  Planner planner;
-  const model::CombinedConfig config = table4_config(2176, 12.0 / (24 * 365));
-  for (const double r : {1.0, 1.37, 2.0, 2.99})
-    ASSERT_TRUE(
-        bitwise_equal(planner.evaluate(config, r), model::predict(config, r)))
-        << "r=" << r;
-}
-
 TEST(Planner, PlanCacheHitsOnRepeatAndMissesOnChange) {
   Planner planner;
   PlanRequest request;
@@ -322,6 +315,56 @@ TEST(Planner, DistinctCanonicalKeysHashApart) {
   EXPECT_EQ(hashes.size(), keys.size());
 }
 
+TEST(Planner, ConcurrentPlansMatchSerial) {
+  // Four threads plan an overlapping mix on one Planner whose capacity is
+  // below the mix, so hits, misses, evictions and concurrent double misses
+  // interleave. Every answer must be a serial planner's, bit for bit, and
+  // every plan() must count as exactly one hit or one miss.
+  std::vector<PlanRequest> mix;
+  for (std::size_t i = 0; i < 12; ++i) {
+    PlanRequest request;
+    request.config =
+        table4_config(1000 + 500 * i, 1.0 + static_cast<double>(i % 4));
+    request.r_step = i % 2 == 0 ? 0.25 : 0.05;
+    request.mode = i % 3 == 0 ? model::EvalMode::kExact
+                              : model::EvalMode::kFast;
+    mix.push_back(request);
+  }
+  Planner serial;
+  std::vector<PlanResponse> expected;
+  for (const PlanRequest& request : mix)
+    expected.push_back(serial.plan(request, /*jobs=*/1));
+
+  Planner shared(/*plan_cache_capacity=*/8);
+  constexpr int kThreads = 4;
+  constexpr int kPlansPerThread = 300;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<unsigned>(t) + 1);
+      for (int k = 0; k < kPlansPerThread; ++k) {
+        const std::size_t i = rng() % mix.size();
+        const PlanResponse got = shared.plan(mix[i], /*jobs=*/1);
+        const PlanResponse& want = expected[i];
+        bool same = got.best_index() == want.best_index() &&
+                    got.sweep().size() == want.sweep().size();
+        for (std::size_t j = 0; same && j < want.sweep().size(); ++j)
+          same = bitwise_equal(got.sweep()[j], want.sweep()[j]);
+        if (!same) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  const Planner::Stats stats = shared.stats();
+  EXPECT_EQ(stats.plans, std::uint64_t{kThreads * kPlansPerThread});
+  EXPECT_EQ(stats.plan_cache_hits + stats.plan_cache_misses, stats.plans);
+  EXPECT_GT(stats.plan_cache_hits, 0u);
+  EXPECT_GT(stats.plan_cache_evictions, 0u);
+}
+
 TEST(Planner, LruEvictsOldestNotHottest) {
   Planner planner(/*plan_cache_capacity=*/2);
   PlanRequest a, b, c;
@@ -368,6 +411,41 @@ TEST(Serve, RespelledLogMatchesTheSameGolden) {
   std::string responses;
   (void)apps::serve_replay(requests, responses);
   EXPECT_EQ(responses, golden);
+}
+
+TEST(Serve, CrlfLogMatchesTheSameGolden) {
+  // JSON whitespace includes CR (RFC 8259) and a CRLF line end reads as an
+  // LF one: the request log with every "\n" turned into "\r\n", blank
+  // lines included, must give the same bytes.
+  const std::string lf =
+      read_file(std::string(REDCR_TEST_DATA_DIR) + "/serve_requests.ndjson");
+  const std::string golden =
+      read_file(std::string(REDCR_TEST_DATA_DIR) + "/serve_golden.ndjson");
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  ASSERT_GT(crlf.size(), lf.size());
+  std::string responses;
+  (void)apps::serve_replay(crlf, responses);
+  EXPECT_EQ(responses, golden);
+}
+
+TEST(Serve, AnswerAtTheEq13PoleIsTheFirstDegreeWithNullCosts) {
+  // At procs = 1e15 every degree of the default grid is past the Eq. 13
+  // pole: T_total is infinite at every point, so the first degree (r = 1)
+  // is reported as best and the non-finite fields are JSON nulls. Its
+  // interval_min and system_mtbf_hours, below 1e-6, are the number
+  // writer's to_chars fallback.
+  std::string responses;
+  (void)apps::serve_replay("{\"procs\":1e15}\n", responses);
+  EXPECT_EQ(responses,
+            "{\"id\":1,\"best_r\":1,\"total_hours\":null,"
+            "\"nodes\":1000000000000000,"
+            "\"interval_min\":2.6259581282263424e-09,"
+            "\"system_mtbf_hours\":4.3765968803772377e-11,"
+            "\"expected_failures\":null,\"from_cache\":0}\n");
 }
 
 TEST(Serve, ResponsesAreIdenticalAcrossJobCountsAndReruns) {
