@@ -77,21 +77,29 @@ echo "=== ci.sh: SDC fault-matrix smoke (ASan/UBSan) ==="
 # Drive the silent-data-corruption pipeline through each detection regime
 # under the sanitizer build: r=1 (no voting — infections pass silently),
 # r=1.5 and r=2 (divergence detection + rollback + unverified-checkpoint
-# invalidation), r=3 (majority vote corrects in place). Exit 0/1 are
-# legitimate outcomes; anything else is a crash or sanitizer report.
-for red in 1 1.5 2 3; do
-  echo "--- sdc: redundancy=$red"
+# invalidation), r=3 (majority vote corrects in place), and r=2 and r=3 in
+# msg-plus-hash mode, where hash copies take the voted per-copy path too.
+# Exit 0/1 are legitimate outcomes; anything else is a crash or sanitizer
+# report.
+run_sdc_cell() {
+  echo "--- sdc: $*"
   set +e
-  "$FAULT_CLI" run --virtual 8 --redundancy "$red" --mtbf-hours 1e6 \
+  "$FAULT_CLI" run --virtual 8 --mtbf-hours 1e6 \
     --iterations 40 --compute-sec 5 --interval-sec 60 --ckpt-retention 3 \
     --sdc-inflight-prob 2e-4 --sdc-atrest-rate 2e-4 --sdc-seed 4243 \
-    --seed 7 --faults-seed 11 --log-level error >/dev/null
+    --seed 7 --faults-seed 11 --log-level error "$@" >/dev/null
   status=$?
   set -e
   if [[ "$status" -ne 0 && "$status" -ne 1 ]]; then
     echo "ci.sh: sdc cell crashed (exit $status)" >&2
     exit 1
   fi
+}
+for red in 1 1.5 2 3; do
+  run_sdc_cell --redundancy "$red"
+done
+for red in 2 3; do
+  run_sdc_cell --redundancy "$red" --msg-plus-hash
 done
 
 echo "=== ci.sh: fast-forward engine smoke (ASan/UBSan) ==="

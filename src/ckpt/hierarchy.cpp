@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/text.hpp"
+
 namespace redcr::ckpt {
 
 namespace {
@@ -82,7 +84,7 @@ void LevelParams::validate(int index, int num_ranks) const {
   }
   if (std::isnan(read_bandwidth) || read_bandwidth < 0.0) {
     fail(at + "read bandwidth must be >= 0 (0 = free fetch), got " +
-         std::to_string(read_bandwidth));
+         util::shortest(read_bandwidth));
   }
   if (retention < 1) {
     fail(at + "retention must be >= 1, got " + std::to_string(retention));
@@ -94,12 +96,12 @@ void LevelParams::validate(int index, int num_ranks) const {
   if (std::isnan(corruption_prob) || corruption_prob < 0.0 ||
       corruption_prob > 1.0) {
     fail(at + "corruption probability must be in [0, 1], got " +
-         std::to_string(corruption_prob));
+         util::shortest(corruption_prob));
   }
   if (std::isnan(write_failure_prob) || write_failure_prob < 0.0 ||
       write_failure_prob > 1.0) {
     fail(at + "write-failure probability must be in [0, 1], got " +
-         std::to_string(write_failure_prob));
+         util::shortest(write_failure_prob));
   }
   if (group_size < 0) {
     fail(at + "group size must be >= 0 (0 = all ranks), got " +

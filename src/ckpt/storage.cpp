@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/text.hpp"
+
 namespace redcr::ckpt {
 
 void StorageParams::validate() const {
@@ -12,12 +14,12 @@ void StorageParams::validate() const {
   if (!(bandwidth > 0.0)) {
     throw std::invalid_argument(
         "redcr::ckpt::StorageParams: bandwidth must be > 0 bytes/s, got " +
-        std::to_string(bandwidth));
+        util::shortest(bandwidth));
   }
   if (!(base_latency >= 0.0)) {
     throw std::invalid_argument(
         "redcr::ckpt::StorageParams: base_latency must be >= 0 s, got " +
-        std::to_string(base_latency));
+        util::shortest(base_latency));
   }
 }
 

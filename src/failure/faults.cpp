@@ -7,6 +7,7 @@
 #include <string>
 
 #include "util/rng.hpp"
+#include "util/text.hpp"
 
 namespace redcr::failure {
 
@@ -19,7 +20,7 @@ namespace {
 void check_prob(double p, const char* name) {
   // !(p >= 0 && p <= 1) also catches NaN.
   if (!(p >= 0.0 && p <= 1.0)) {
-    reject(std::string(name) + " must be in [0, 1], got " + std::to_string(p));
+    reject(std::string(name) + " must be in [0, 1], got " + util::shortest(p));
   }
 }
 
@@ -35,7 +36,7 @@ void SdcParams::validate() const {
   check_prob(inflight_prob, "sdc.inflight_prob");
   if (!(atrest_rate >= 0.0) || std::isinf(atrest_rate)) {
     reject("sdc.atrest_rate must be finite and >= 0, got " +
-           std::to_string(atrest_rate));
+           util::shortest(atrest_rate));
   }
 }
 
@@ -54,11 +55,11 @@ void RetryPolicy::validate(const char* what) const {
   }
   if (!(backoff_base >= 0.0)) {
     reject(std::string(what) + ".backoff_base must be >= 0, got " +
-           std::to_string(backoff_base));
+           util::shortest(backoff_base));
   }
   if (!(backoff_cap >= 0.0)) {
     reject(std::string(what) + ".backoff_cap must be >= 0, got " +
-           std::to_string(backoff_cap));
+           util::shortest(backoff_cap));
   }
 }
 
@@ -123,10 +124,17 @@ bool FaultProcess::sdc_flips_copy(std::uint64_t episode, int sender_rank,
   if (sdc_.inflight_prob <= 0.0) return false;
   // Fold (rank, copy) into one salt; the send ordinal keeps its own slot so
   // long-running ranks never alias earlier sends.
-  std::uint64_t who = (static_cast<std::uint64_t>(sender_rank) << 16) |
-                      static_cast<std::uint64_t>(copy & 0xFFFF);
-  return sdc_draw(FaultClass::kSdcInFlight, episode, who, ordinal) <
+  return sdc_draw(FaultClass::kSdcInFlight, episode,
+                  sdc_copy_salt(sender_rank, copy), ordinal) <
          sdc_.inflight_prob;
+}
+
+util::SplitKey FaultProcess::sdc_inflight_key(
+    std::uint64_t episode) const noexcept {
+  return util::Xoshiro256ss(sdc_.seed)
+      .split(static_cast<std::uint64_t>(FaultClass::kSdcInFlight))
+      .split(episode)
+      .key();
 }
 
 double FaultProcess::sdc_infection_time(std::uint64_t episode,

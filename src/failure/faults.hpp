@@ -24,6 +24,8 @@
 
 #include <cstdint>
 
+#include "util/rng.hpp"
+
 namespace redcr::failure {
 
 /// The unreliable-C/R fault classes (see file comment).
@@ -148,6 +150,22 @@ class FaultProcess {
   [[nodiscard]] bool sdc_flips_copy(std::uint64_t episode, int sender_rank,
                                     std::uint64_t ordinal,
                                     int copy) const noexcept;
+
+  /// The salt that picks (sender rank, copy) within an episode's in-flight
+  /// stream; the send ordinal salts the next split.
+  [[nodiscard]] static std::uint64_t sdc_copy_salt(int sender_rank,
+                                                   int copy) noexcept {
+    return (static_cast<std::uint64_t>(sender_rank) << 16) |
+           static_cast<std::uint64_t>(copy & 0xFFFF);
+  }
+
+  /// Key of `episode`'s in-flight stream. sdc_flips_copy() draws
+  ///   split_uniform01(split_key(key, sdc_copy_salt(rank, copy)), ordinal)
+  /// (util::Xoshiro256ss's keyed forms), so a caller that keeps the
+  /// (rank, copy) keys of an episode decides each copy with two SplitMix64
+  /// finalizers instead of five generator constructions (SdcMonitor).
+  [[nodiscard]] util::SplitKey sdc_inflight_key(
+      std::uint64_t episode) const noexcept;
 
   /// First at-rest infection time of `rank` in `episode`, seconds from the
   /// episode start; +infinity when the at-rest rate is 0 (never fires).

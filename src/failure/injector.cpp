@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <string>
+
+#include "util/text.hpp"
 
 namespace redcr::failure {
 
@@ -34,14 +35,6 @@ std::size_t first_sphere_completion(const red::ReplicaMap& map,
 /// Firing order of two failures: by time, equal times by physical rank.
 bool fires_first(const Failure& a, const Failure& b) noexcept {
   return a.time != b.time ? a.time < b.time : a.rank < b.rank;
-}
-
-/// The shortest text that reads back as `value` ("-1e-09", "nan"), so a
-/// rejection shows the value as sent, however small.
-std::string shortest(double value) {
-  char buf[32];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, value);
-  return std::string(buf, r.ptr);
 }
 
 }  // namespace
@@ -89,11 +82,11 @@ void FailureParams::validate() const {
   if (!(node_mtbf > 0.0))
     throw std::invalid_argument(
         "redcr::failure::FailureParams: node_mtbf must be > 0 s, got " +
-        shortest(node_mtbf));
+        util::shortest(node_mtbf));
   if (!(weibull_shape > 0.0))
     throw std::invalid_argument(
         "redcr::failure::FailureParams: weibull_shape must be > 0, got " +
-        shortest(weibull_shape));
+        util::shortest(weibull_shape));
   // Γ(1 + 1/k) overflows for k below about 0.00586, and θ = inf has no
   // finite scale: every draw would be 0, inf or NaN (0·inf).
   const double scale = FailureLaw::of(*this).scale;

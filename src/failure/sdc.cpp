@@ -1,6 +1,7 @@
 #include "failure/sdc.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -13,7 +14,27 @@ SdcMonitor::SdcMonitor(const red::ReplicaMap& map, const FaultProcess& faults,
       faults_(&faults),
       episode_(episode),
       strain_of_(map.num_physical(), 0),
-      cause_of_(map.num_physical(), 0) {}
+      cause_of_(map.num_physical(), 0) {
+  const double p = faults.sdc().inflight_prob;
+  if (p <= 0.0) return;
+  // uniform01() is k * 2^-53 for the integer k = next() >> 11, exactly, so
+  // uniform01() < p  <=>  k < p * 2^53  <=>  k < ceil(p * 2^53): scaling by
+  // 2^53 is exact for p in [0, 1], and k is whole.
+  inflight_below_ = static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  // A send has one copy per live replica of its destination sphere.
+  for (std::size_t v = 0; v < map.num_virtual(); ++v)
+    copies_per_rank_ = std::max<std::size_t>(
+        copies_per_rank_, map.degree(static_cast<red::Rank>(v)));
+  const util::SplitKey episode_key = faults.sdc_inflight_key(episode);
+  inflight_keys_.reserve(map.num_physical() * copies_per_rank_);
+  for (std::size_t rank = 0; rank < map.num_physical(); ++rank) {
+    for (std::size_t copy = 0; copy < copies_per_rank_; ++copy) {
+      inflight_keys_.push_back(util::Xoshiro256ss::split_key(
+          episode_key, FaultProcess::sdc_copy_salt(static_cast<int>(rank),
+                                                   static_cast<int>(copy))));
+    }
+  }
+}
 
 void SdcMonitor::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
@@ -124,22 +145,35 @@ simmpi::Payload SdcMonitor::on_send(red::Rank sender_physical,
   return payload.corrupted(strain);
 }
 
-simmpi::Payload SdcMonitor::on_copy(red::Rank sender_physical,
-                                    std::uint64_t ordinal, int copy,
-                                    simmpi::Payload payload, double now) {
-  if (!faults_->sdc_flips_copy(episode_, sender_physical, ordinal, copy))
-    return payload;
-  const std::uint64_t who =
-      (static_cast<std::uint64_t>(sender_physical) << 16) |
-      static_cast<std::uint64_t>(copy & 0xFFFF);
-  const std::uint64_t strain =
-      faults_->sdc_strain(FaultClass::kSdcInFlight, episode_, who, ordinal);
+void SdcMonitor::on_copies(red::Rank sender_physical, std::uint64_t ordinal,
+                           std::span<std::uint64_t> strains, double now) {
+  if (inflight_keys_.empty()) return;
+  assert(strains.size() <= copies_per_rank_);
+  const util::SplitKey* const keys =
+      &inflight_keys_[static_cast<std::size_t>(sender_physical) *
+                      copies_per_rank_];
+  for (std::size_t copy = 0; copy < strains.size(); ++copy) {
+    const std::uint64_t draw =
+        util::Xoshiro256ss::split_next(keys[copy], ordinal);
+    strains[copy] = (draw >> 11) < inflight_below_
+                        ? inject_inflight(sender_physical, ordinal,
+                                          static_cast<int>(copy), now)
+                        : 0;
+  }
+}
+
+std::uint64_t SdcMonitor::inject_inflight(red::Rank sender_physical,
+                                          std::uint64_t ordinal, int copy,
+                                          double now) {
+  const std::uint64_t strain = faults_->sdc_strain(
+      FaultClass::kSdcInFlight, episode_,
+      FaultProcess::sdc_copy_salt(sender_physical, copy), ordinal);
   ++stats_.injected_inflight;
   if (injected_counter_ != nullptr) injected_counter_->add();
   const std::uint64_t cause = journal_event(
       "sdc-injected", sender_physical, now, 0, "kind=in-flight");
   origins_.emplace(strain, Origin{now, cause});
-  return payload.corrupted(strain);
+  return strain;
 }
 
 void SdcMonitor::on_delivery(const Delivery& d) {

@@ -39,6 +39,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "failure/faults.hpp"
@@ -117,9 +118,8 @@ class SdcMonitor final : public red::SdcPolicy {
   // red::SdcPolicy
   simmpi::Payload on_send(red::Rank sender_physical, simmpi::Payload payload,
                           double now) override;
-  simmpi::Payload on_copy(red::Rank sender_physical, std::uint64_t ordinal,
-                          int copy, simmpi::Payload payload,
-                          double now) override;
+  void on_copies(red::Rank sender_physical, std::uint64_t ordinal,
+                 std::span<std::uint64_t> strains, double now) override;
   void on_delivery(const Delivery& delivery) override;
 
   [[nodiscard]] const SdcStats& stats() const noexcept { return stats_; }
@@ -152,6 +152,19 @@ class SdcMonitor final : public red::SdcPolicy {
   const red::ReplicaMap* map_;
   const FaultProcess* faults_;
   std::uint64_t episode_;
+  /// Journals and counts the in-flight flip of copy `copy` of this send;
+  /// returns its strain.
+  std::uint64_t inject_inflight(red::Rank sender_physical,
+                                std::uint64_t ordinal, int copy, double now);
+
+  /// In-flight flips: the key of split(sdc_copy_salt(rank, copy)) of the
+  /// episode's stream for every physical rank and copy index, rank-major
+  /// (empty when the in-flight probability is 0). A copy flips when the top
+  /// 53 bits of split_next(key, ordinal) fall below `inflight_below_`, the
+  /// same decision as sdc_flips_copy()'s uniform01() < inflight_prob.
+  std::vector<util::SplitKey> inflight_keys_;
+  std::size_t copies_per_rank_ = 0;
+  std::uint64_t inflight_below_ = 0;
   /// Per physical rank: the infecting strain (0 = clean).
   std::vector<std::uint64_t> strain_of_;
   std::vector<std::uint64_t> cause_of_;

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "model/checkpoint.hpp"
+#include "util/text.hpp"
 
 namespace redcr::model {
 
@@ -290,7 +291,7 @@ FailureWaste predicted_failure_waste(double interval, double ckpt_cost,
     if (!(v >= 0.0))  // catches NaN too
       throw std::invalid_argument(
           std::string("predicted_failure_waste: ") + name +
-          " must be >= 0, got " + std::to_string(v));
+          " must be >= 0, got " + util::shortest(v));
   };
   check(interval, "interval");
   check(ckpt_cost, "ckpt_cost");
@@ -308,7 +309,7 @@ void SdcModelParams::validate() const {
     if (!(v >= 0.0) || !std::isfinite(v))
       throw std::invalid_argument(std::string("SdcModelParams: ") + name +
                                   " must be finite and >= 0, got " +
-                                  std::to_string(v));
+                                  util::shortest(v));
   };
   check(interval, "interval");
   check(ckpt_cost, "ckpt_cost");

@@ -6,12 +6,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/text.hpp"
+
 namespace redcr::net {
 
 void NetworkParams::validate() const {
   const auto fail = [](const std::string& what, double value) {
     throw std::invalid_argument("redcr::net::NetworkParams: " + what +
-                                ", got " + std::to_string(value));
+                                ", got " + util::shortest(value));
   };
   // !(x > 0) also catches NaN.
   if (!(bandwidth > 0.0)) fail("bandwidth must be > 0 bytes/s", bandwidth);

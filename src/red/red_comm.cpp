@@ -89,34 +89,31 @@ Request RedComm::isend(Rank dst, int tag, Payload payload) {
     ++my_live_degree;
   }
 
-  fan_outs_.push_back(FanOut{parent, live_dst_degree});
-  const auto it = std::prev(fan_outs_.end());
+  std::array<std::uint64_t, ReplicaMap::kMaxDegree> strains{};
+  if (sdc_ != nullptr) {
+    sdc_->on_copies(endpoint_->rank(), ordinal,
+                    std::span(strains.data(), live_dst_degree),
+                    engine().now());
+  }
+  // Sends complete in issue order, so the last copy's completion is the
+  // fan-out's: it alone completes the application request.
   for (unsigned j = 0; j < live_dst_degree; ++j) {
     Payload copy = payload;
-    if (sdc_ != nullptr) {
-      copy = sdc_->on_copy(endpoint_->rank(), ordinal, static_cast<int>(j),
-                           std::move(copy), engine().now());
-    }
-    Request sub;
+    if (strains[j] != 0) copy = copy.corrupted(strains[j]);
+    Request on_sent = j + 1 == live_dst_degree ? parent : Request{};
     if (sends_full(my_live_index, j, my_live_degree, config_->mode)) {
-      sub = endpoint_->isend(live_dst[j], tag, std::move(copy));
+      endpoint_->isend(live_dst[j], tag, std::move(copy), std::move(on_sent));
     } else {
       // The hash message hashes the (possibly corrupted) copy, and carries
       // the copy's strain tag so a detection through a hash-only copy can
       // still chain back to the injection event.
       Payload hp = hash_payload(copy.hash());
       if (copy.tainted()) hp = hp.corrupted(copy.strain());
-      sub = endpoint_->isend(live_dst[j], kHashTagOffset + tag, std::move(hp));
+      endpoint_->isend(live_dst[j], kHashTagOffset + tag, std::move(hp),
+                       std::move(on_sent));
     }
-    simmpi::attach_completion(sub, [this, it] { count_sent(it); });
   }
   return parent;
-}
-
-void RedComm::count_sent(FanOutList::iterator it) {
-  if (--it->remaining != 0) return;
-  complete_request(*it->parent, engine());
-  fan_outs_.erase(it);
 }
 
 Request RedComm::irecv(Rank src, int tag) {
@@ -155,34 +152,48 @@ void RedComm::post_copy_set(Rank src_virtual, int tag, Request parent) {
     ++live_seen;
   }
 
-  // The comm owns the copy-set; the hooks hold only an iterator. (Having
-  // each hook own the subs would make sub → hook → subs a reference-count
-  // cycle that leaks every copy-set still in flight at episode teardown.)
-  copy_sets_.emplace_back();
+  // The comm owns the copy-set; each sub-receive's sink points at it.
+  if (spare_sets_.empty()) spare_sets_.emplace_back();
+  copy_sets_.splice(copy_sets_.end(), spare_sets_, spare_sets_.begin());
   const auto it = std::prev(copy_sets_.end());
   CopySet& set = *it;
   set.src_virtual = src_virtual;
   set.tag = tag;
   set.parent = std::move(parent);
   set.num_subs = src_degree;
+  set.comm = this;
+  set.self = it;
+  // +1 guard: a sub that matches an unexpected copy completes inside
+  // irecv, and the set must not finish (and go back to the spare list)
+  // while this frame still posts its other subs.
+  set.remaining = src_degree + 1;
   for (unsigned i = 0; i < src_degree; ++i) {
     const bool full = sends_full(i, my_live_index, src_degree, config_->mode);
-    set.subs[i] =
-        endpoint_->irecv(live_src[i], full ? tag : kHashTagOffset + tag);
+    endpoint_->irecv(live_src[i], full ? tag : kHashTagOffset + tag,
+                     simmpi::Sink{&RedComm::copy_arrived, &set, i});
   }
-  // +1 guard: a sub that is already complete runs its hook inside
-  // attach_completion, and the set must not finish (and erase itself) while
-  // this frame still iterates it.
-  set.remaining = src_degree + 1;
-  for (unsigned i = 0; i < src_degree; ++i)
-    simmpi::attach_completion(set.subs[i], [this, it] { count_arrived(it); });
   count_arrived(it);  // releases the guard
+}
+
+void RedComm::copy_arrived(void* set, std::uint32_t index, Message* message) {
+  CopySet& s = *static_cast<CopySet*>(set);
+  if (message != nullptr) {
+    s.copies[index] = std::move(*message);
+  } else {
+    s.aborted |= 1u << index;
+  }
+  s.comm->count_arrived(s.self);
 }
 
 void RedComm::count_arrived(CopySetList::iterator it) {
   if (--it->remaining != 0) return;
-  finish_copy_set(*it);
-  copy_sets_.erase(it);
+  CopySet& set = *it;
+  finish_copy_set(set);
+  // Drop what the set holds and keep it for the next post.
+  for (unsigned i = 0; i < set.num_subs; ++i) set.copies[i].payload = {};
+  set.aborted = 0;
+  set.parent.reset();
+  spare_sets_.splice(spare_sets_.begin(), copy_sets_, it);
 }
 
 sim::Task RedComm::drive_wildcard(int tag, Request parent) {
@@ -268,10 +279,8 @@ void RedComm::finish_copy_set(const CopySet& set) {
   std::array<const Message*, ReplicaMap::kMaxDegree> copies{};
   std::size_t num_copies = 0;
   for (unsigned i = 0; i < set.num_subs; ++i) {
-    const simmpi::RequestState& sub = *set.subs[i];
-    assert(sub.complete);
-    if (sub.aborted) continue;  // peer died before sending this copy
-    copies[num_copies++] = &sub.message;
+    if ((set.aborted >> i) & 1u) continue;  // peer died before sending it
+    copies[num_copies++] = &set.copies[i];
   }
   if (num_copies == 0) {
     // Every copy aborted: the sender sphere died mid-exchange. The job is

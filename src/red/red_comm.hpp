@@ -100,12 +100,14 @@ class SdcPolicy {
   /// rank; an at-rest-infected rank's payload comes back corrupted.
   virtual simmpi::Payload on_send(Rank sender_physical,
                                   simmpi::Payload payload, double now) = 0;
-  /// Called per physical copy of the fan-out; may apply an in-flight flip.
-  /// `ordinal` is the sender's deterministic send counter, `copy` the index
-  /// within this send's live destination set.
-  virtual simmpi::Payload on_copy(Rank sender_physical, std::uint64_t ordinal,
-                                  int copy, simmpi::Payload payload,
-                                  double now) = 0;
+  /// Called once per fan-out, with `strains` zeroed, before its physical
+  /// copies go out: sets strains[j] to the strain of an in-flight flip of
+  /// copy j; a copy that travels clean keeps 0. `ordinal` is the sender's
+  /// deterministic send counter, j the index within this send's live
+  /// destination set. One call per send lets the copies' draws run side by
+  /// side.
+  virtual void on_copies(Rank sender_physical, std::uint64_t ordinal,
+                         std::span<std::uint64_t> strains, double now) = 0;
   /// Classification callback after voting: spreads silent infections,
   /// journals detection/correction, and raises the detection alarm.
   virtual void on_delivery(const Delivery& delivery) = 0;
@@ -188,31 +190,27 @@ class RedComm final : public simmpi::Comm {
     return sender_idx == receiver_idx % sender_degree;
   }
 
-  /// One in-flight fan-out send: the countdown of physical copies not yet
-  /// handed to the network, and the application request they complete.
-  struct FanOut {
-    simmpi::Request parent;
-    std::size_t remaining = 0;
-  };
-  /// One in-flight copy-set: the physical sub-receives, the completion
-  /// countdown, and the virtual envelope and application request they
-  /// complete after comparison/voting.
+  /// One in-flight copy-set: the physical copies received so far, the
+  /// completion countdown, and the virtual envelope and application request
+  /// they complete after comparison/voting. Each sub-receive is posted with
+  /// a Sink on this set (copy_arrived), so a physical copy costs no request
+  /// and no closure. The sets are owned by the RedComm, in lists with
+  /// stable nodes: a set still pending at episode teardown is freed with
+  /// the comm, and a finished one is kept for the next post.
+  struct CopySet;
+  using CopySetList = std::list<CopySet, util::PoolAllocator<CopySet>>;
   struct CopySet {
-    std::array<simmpi::Request, ReplicaMap::kMaxDegree> subs{};
+    /// Copy i of the set; meaningful unless bit i of `aborted` is set.
+    std::array<simmpi::Message, ReplicaMap::kMaxDegree> copies{};
+    unsigned aborted = 0;  ///< bit i: sub-receive i was aborted (peer died)
     unsigned num_subs = 0;
     std::size_t remaining = 0;
     Rank src_virtual = 0;
     int tag = 0;
     simmpi::Request parent;
+    RedComm* comm = nullptr;
+    CopySetList::iterator self;  ///< this set's node in comm->copy_sets_
   };
-  // Both are owned by the RedComm, in lists with stable iterators, and not
-  // by the sub-requests' completion hooks: a set still pending at episode
-  // teardown is freed with the comm instead of leaking through a hook ⇄
-  // sub-request ref cycle. Each hook captures only [this, iterator] — 16
-  // bytes, inside std::function's inline buffer, so attaching one does not
-  // allocate.
-  using FanOutList = std::list<FanOut, util::PoolAllocator<FanOut>>;
-  using CopySetList = std::list<CopySet, util::PoolAllocator<CopySet>>;
 
   /// Posts the physical receives for one copy-set from sphere `src_virtual`
   /// and wires them to complete `parent` after comparison/voting.
@@ -221,12 +219,13 @@ class RedComm final : public simmpi::Comm {
   /// Driver for the wildcard three-step protocol (runs as a spawned task).
   sim::Task drive_wildcard(int tag, simmpi::Request parent);
 
-  /// Counts one physical send of a fan-out down; the last completes the
-  /// parent and frees the fan-out.
-  void count_sent(FanOutList::iterator it);
+  /// Sink of sub-receive `index` of the CopySet at `set`: keeps the copy
+  /// (nullptr: aborted) and counts the set down.
+  static void copy_arrived(void* set, std::uint32_t index,
+                           simmpi::Message* message);
 
   /// Counts one sub-receive (or the posting guard) of a copy-set down; the
-  /// last votes, completes the parent and frees the copy-set.
+  /// last votes, completes the parent and moves the set to the spare list.
   void count_arrived(CopySetList::iterator it);
 
   /// Compares/votes the collected copies and surfaces the result.
@@ -264,9 +263,10 @@ class RedComm final : public simmpi::Comm {
   /// has posted its remaining-copy receives — otherwise instance k+1 could
   /// steal a duplicate copy of instance k's message (see drive_wildcard).
   util::FlatMap64<util::Rc<sim::OneShotEvent>> wildcard_turn_;  // by tag
-  /// In-flight fan-out sends and copy-sets (erased as each one finishes).
-  FanOutList fan_outs_;
+  /// In-flight copy-sets, and finished ones kept for reuse (a set holds
+  /// kMaxDegree messages, so reuse spares constructing and destroying them).
   CopySetList copy_sets_;
+  CopySetList spare_sets_;
 };
 
 }  // namespace redcr::red

@@ -11,6 +11,7 @@
 #include "runtime/episode_rig.hpp"
 #include "runtime/fastforward.hpp"
 #include "util/log.hpp"
+#include "util/text.hpp"
 
 namespace redcr::runtime {
 
@@ -48,7 +49,7 @@ JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
   const auto require = [](bool ok, const std::string& what, double value) {
     if (!ok)
       throw std::invalid_argument("JobExecutor: " + what + ", got " +
-                                  std::to_string(value));
+                                  util::shortest(value));
   };
   require(config_.restart_cost >= 0.0 && std::isfinite(config_.restart_cost),
           "restart_cost must be finite and >= 0 s", config_.restart_cost);
@@ -78,7 +79,7 @@ JobExecutor::JobExecutor(JobConfig config, WorkloadFactory factory)
   if (config_.checkpoint_enabled && !(config_.checkpoint_interval > 0.0))
     throw std::invalid_argument(
         "JobExecutor: checkpointing enabled but the interval is not > 0, "
-        "got " + std::to_string(config_.checkpoint_interval) +
+        "got " + util::shortest(config_.checkpoint_interval) +
         " (compute one with model::daly_interval)");
   if (config_.live_failure_semantics && config_.checkpoint_enabled)
     throw std::invalid_argument(

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <new>
@@ -182,10 +181,6 @@ struct RequestState {
   bool aborted = false;
   Message message;  ///< for receives: the delivered message
   sim::OneShotEvent done;
-  /// Optional completion hook (single-shot). The redundancy layer uses it to
-  /// aggregate sub-request completions without spawning a coroutine per
-  /// message. Runs after `complete` is set and `done` is triggered.
-  std::function<void()> on_complete;
 
   RequestState() = default;
   RequestState(const RequestState&) = delete;
@@ -200,29 +195,25 @@ using Request = util::Rc<RequestState>;
 /// are made and dropped once or more per message.
 inline Request make_request() { return Request::make(); }
 
-/// Canonical completion path: sets the flag, wakes waiters, runs the hook.
+/// Canonical completion path: sets the flag and wakes waiters.
 inline void complete_request(RequestState& request, sim::Engine& engine) {
   assert(!request.complete);
   request.complete = true;
   request.done.trigger(engine);
-  if (request.on_complete) {
-    auto hook = std::move(request.on_complete);
-    request.on_complete = nullptr;
-    hook();
-  }
 }
 
-/// Attaches a completion hook, running it immediately if the request already
-/// completed (e.g. a receive matched from the unexpected queue).
-inline void attach_completion(const Request& request,
-                              std::function<void()> hook) {
-  assert(request && !request->on_complete);
-  if (request->complete) {
-    hook();
-  } else {
-    request->on_complete = std::move(hook);
-  }
-}
+/// Where a posted receive completes when nothing awaits it: a plain function
+/// with a context and an index, called once with the delivered message, or
+/// with nullptr when the receive is aborted (its peer died). The redundancy
+/// layer posts each physical copy of a copy-set this way, so the copy costs
+/// no RequestState and no closure; the function moves the message out.
+struct Sink {
+  void (*fn)(void* context, std::uint32_t index, Message* message) = nullptr;
+  void* context = nullptr;
+  std::uint32_t index = 0;
+
+  void operator()(Message* message) const { fn(context, index, message); }
+};
 
 /// Awaiter on a request's completion event; co_await yields the delivered
 /// message when `Result` is Message and nothing when it is void. It holds

@@ -38,6 +38,12 @@ int Endpoint::size() const noexcept { return world_->size(); }
 sim::Engine& Endpoint::engine() const noexcept { return world_->engine(); }
 
 Request Endpoint::isend(Rank dst, int tag, Payload payload) {
+  Request request = make_request();
+  isend(dst, tag, std::move(payload), request);
+  return request;
+}
+
+void Endpoint::isend(Rank dst, int tag, Payload payload, Request on_sent) {
   if (dst < 0 || dst >= world_->size())
     throw std::out_of_range("isend: destination rank out of range");
   if (tag < 0) throw std::invalid_argument("isend: tag must be non-negative");
@@ -45,42 +51,61 @@ Request Endpoint::isend(Rank dst, int tag, Payload payload) {
     ++sent_counts_[static_cast<std::size_t>(dst)];
     ++total_sent_;
   }
-  return world_->inject(rank_, dst, tag, std::move(payload));
+  world_->inject(rank_, dst, tag, std::move(payload), std::move(on_sent));
 }
 
 Request Endpoint::irecv(Rank src, int tag) {
-  if (src != kAnySource && (src < 0 || src >= world_->size()))
-    throw std::out_of_range("irecv: source rank out of range");
-  auto request = make_request();
-  const PostedRecv posted{src, tag, request};
+  Request request = make_request();
+  post(PostedRecv{src, tag, request, {}});
+  return request;
+}
 
+void Endpoint::irecv(Rank src, int tag, Sink sink) {
+  assert(sink.fn != nullptr);
+  post(PostedRecv{src, tag, {}, sink});
+}
+
+void Endpoint::post(PostedRecv posted) {
+  if (posted.src != kAnySource &&
+      (posted.src < 0 || posted.src >= world_->size()))
+    throw std::out_of_range("irecv: source rank out of range");
   // MPI semantics: first try the unexpected queue in arrival order.
   const auto it = std::find_if(
       unexpected_.begin(), unexpected_.end(),
       [&](const Message& m) { return matches(posted, m); });
   if (it != unexpected_.end()) {
-    request->message = std::move(*it);
-    unexpected_.erase(it);
-    complete_request(*request, world_->engine());
+    Message message =
+        unexpected_.take(static_cast<std::size_t>(it - unexpected_.begin()));
+    complete(posted, &message);
     ++world_->stats_.matched_from_unexpected;
-    return request;
+    return;
   }
-  posted_.push_back(posted);
-  return request;
+  posted_.push_back(std::move(posted));
+}
+
+void Endpoint::complete(PostedRecv& posted, Message* message) {
+  if (!posted.request) {
+    posted.sink(message);
+    return;
+  }
+  if (message != nullptr) {
+    posted.request->message = std::move(*message);
+  } else {
+    posted.request->aborted = true;
+  }
+  complete_request(*posted.request, world_->engine());
 }
 
 std::size_t Endpoint::abort_posted_from(Rank source) {
   std::size_t aborted = 0;
-  for (auto it = posted_.begin(); it != posted_.end();) {
-    if (it->src == source) {
-      Request request = std::move(it->request);
-      it = posted_.erase(it);
-      request->aborted = true;
-      complete_request(*request, world_->engine());
-      ++aborted;
-    } else {
-      ++it;
+  for (std::size_t i = 0; i < posted_.size();) {
+    if (posted_[i].src != source) {
+      ++i;
+      continue;
     }
+    PostedRecv posted = posted_.take(i);
+    complete(posted, nullptr);
+    ++aborted;
   }
   return aborted;
 }
@@ -96,10 +121,9 @@ void Endpoint::deliver(Message message) {
       posted_.begin(), posted_.end(),
       [&](const PostedRecv& p) { return matches(p, message); });
   if (it != posted_.end()) {
-    Request request = std::move(it->request);
-    posted_.erase(it);
-    request->message = std::move(message);
-    complete_request(*request, world_->engine());
+    PostedRecv posted =
+        posted_.take(static_cast<std::size_t>(it - posted_.begin()));
+    complete(posted, &message);
     ++world_->stats_.matched_posted;
     return;
   }
@@ -135,7 +159,8 @@ Endpoint& World::endpoint(Rank rank) {
   return *endpoints_[static_cast<std::size_t>(rank)];
 }
 
-Request World::inject(Rank src, Rank dst, int tag, Payload payload) {
+void World::inject(Rank src, Rank dst, int tag, Payload payload,
+                   Request on_sent) {
   ++stats_.messages_sent;
   if (messages_log_ != nullptr) messages_log_->push_back(engine_->now());
 
@@ -162,12 +187,13 @@ Request World::inject(Rank src, Rank dst, int tag, Payload payload) {
   arrival = std::max(arrival, last_arrival);
   last_arrival = arrival;
 
-  // Send request: the buffer is considered handed off after the sender-side
-  // busy time (eager protocol). The busy time is one network-wide constant,
-  // so completions fire in issue order and the FIFO supplies the request —
-  // the closure needs no captured state beyond `this`.
-  auto send_request = make_request();
-  pending_sends_.push_back(send_request);
+  // Send completion: the buffer is considered handed off after the
+  // sender-side busy time (eager protocol). The busy time is one
+  // network-wide constant, so completions fire in issue order and the FIFO
+  // supplies the request — the closure needs no captured state beyond
+  // `this`. Every send schedules its completion event, whether or not a
+  // request waits on it.
+  pending_sends_.push_back(std::move(on_sent));
   engine_->schedule_after(network_->send_busy_time(),
                           [this] { complete_next_send(); });
 
@@ -175,14 +201,12 @@ Request World::inject(Rank src, Rank dst, int tag, Payload payload) {
       arrival, [this, dst32 = static_cast<std::uint32_t>(dst), slot] {
         deliver_from_arena(dst32, slot);
       });
-  return send_request;
 }
 
 void World::complete_next_send() {
   assert(!pending_sends_.empty());
-  const Request request = std::move(pending_sends_.front());
-  pending_sends_.pop_front();
-  complete_request(*request, *engine_);
+  const Request request = pending_sends_.pop_front();
+  if (request) complete_request(*request, *engine_);
 }
 
 void World::deliver_from_arena(std::uint32_t dst, std::uint32_t slot) {

@@ -6,10 +6,14 @@
 // unexpected message; arriving messages match the earliest compatible posted
 // receive; per-(source, destination) delivery is non-overtaking even when
 // the network would reorder differently-sized messages.
+//
+// A posted receive completes either a Request (the Comm API) or a Sink (the
+// redundancy layer's physical copies); a send either completes a Request or
+// nothing. Both forms share the one posted queue, the one send FIFO and the
+// one matching path.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "net/network.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/types.hpp"
+#include "util/fifo.hpp"
 #include "util/flat_map.hpp"
 
 namespace redcr::simmpi {
@@ -32,6 +37,16 @@ class Endpoint final : public Comm {
 
   Request isend(Rank dst, int tag, Payload payload) override;
   Request irecv(Rank src, int tag) override;
+
+  /// isend() that completes `on_sent` instead of a new request; an empty
+  /// `on_sent` completes nothing. The redundancy layer sends the physical
+  /// copies of one fan-out this way and completes the application's request
+  /// with the last copy (sends complete in issue order).
+  void isend(Rank dst, int tag, Payload payload, Request on_sent);
+
+  /// irecv() that completes `sink` instead of a request, once: at once when
+  /// an unexpected message matches, else on arrival or abort.
+  void irecv(Rank src, int tag, Sink sink);
 
   /// Completes every posted receive whose concrete source is `source` with
   /// the `aborted` flag (live failure semantics: the peer died and will
@@ -56,10 +71,12 @@ class Endpoint final : public Comm {
  private:
   friend class World;
 
+  /// A posted receive; it completes `request` when set, else `sink`.
   struct PostedRecv {
     Rank src = kAnySource;  // may be wildcard
     int tag = kAnyTag;      // may be wildcard
     Request request;
+    Sink sink;
   };
 
   Endpoint(World& world, Rank rank, int world_size)
@@ -71,6 +88,12 @@ class Endpoint final : public Comm {
   /// Called by World when a message arrives at this mailbox.
   void deliver(Message message);
 
+  /// Matches `posted` against the unexpected queue, or queues it.
+  void post(PostedRecv posted);
+
+  /// Completes a receive with `message`, or as aborted when it is nullptr.
+  void complete(PostedRecv& posted, Message* message);
+
   static bool matches(const PostedRecv& posted, const Message& msg) noexcept {
     return (posted.src == kAnySource || posted.src == msg.envelope.source) &&
            (posted.tag == kAnyTag || posted.tag == msg.envelope.tag);
@@ -78,8 +101,8 @@ class Endpoint final : public Comm {
 
   World* world_;
   Rank rank_;
-  std::deque<PostedRecv> posted_;     // receives awaiting a message
-  std::deque<Message> unexpected_;    // messages awaiting a receive
+  util::Fifo<PostedRecv> posted_;   // receives awaiting a message
+  util::Fifo<Message> unexpected_;  // messages awaiting a receive
   std::vector<std::uint64_t> sent_counts_;
   std::vector<std::uint64_t> received_counts_;
   std::uint64_t total_sent_ = 0;
@@ -120,12 +143,13 @@ class World {
   friend class Endpoint;
 
   /// Injects a message: pays sender-side cost, enforces channel FIFO, and
-  /// schedules mailbox delivery. Returns the send request.
-  Request inject(Rank src, Rank dst, int tag, Payload payload);
+  /// schedules mailbox delivery and the completion of `on_sent` (may be
+  /// empty).
+  void inject(Rank src, Rank dst, int tag, Payload payload, Request on_sent);
 
-  /// Completes the oldest pending send request. All sends share one
-  /// constant busy time (Network::send_busy_time()), so their completion
-  /// events fire in issue order and a FIFO needs no per-send closure state.
+  /// Completes the oldest pending send. All sends share one constant busy
+  /// time (Network::send_busy_time()), so their completion events fire in
+  /// issue order and a FIFO needs no per-send closure state.
   void complete_next_send();
 
   /// Delivery event body: moves the message out of its arena slot, recycles
@@ -142,9 +166,9 @@ class World {
   net::Arena<Message> message_arena_;
   /// Per (src,dst) channel: last scheduled arrival time, for non-overtaking.
   util::FlatMap64<sim::Time> channel_last_arrival_;
-  /// Send requests awaiting their sender-side busy-time completion, in
-  /// issue order (see complete_next_send()).
-  std::deque<Request> pending_sends_;
+  /// Sends awaiting their sender-side busy-time completion, in issue order
+  /// (see complete_next_send()); an empty entry completes nothing.
+  util::Fifo<Request> pending_sends_;
   std::uint64_t next_seq_ = 1;
   WorldStats stats_;
   std::vector<sim::Time>* messages_log_ = nullptr;  // fast-forward prototypes

@@ -123,8 +123,12 @@ bool FlagSet::parse(int argc, char** argv, int first) const {
   for (const Knob& row : knobs_) {
     const bool absent = std::none_of(given.begin(), given.end(),
                                      [&](auto& g) { return g.first == &row; });
-    if (absent && !row.fallback.empty())
-      row.set(row.domain.parse("--" + std::string(row.name), row.fallback));
+    if (absent && !row.fallback.empty()) {
+      Value fallback =
+          row.domain.parse("--" + std::string(row.name), row.fallback);
+      fallback.given = false;
+      row.set(fallback);
+    }
   }
   for (const auto& [row, value] : given) row->set(value);
   return true;

@@ -35,6 +35,7 @@ struct Value {
   double number = 0.0;    ///< number and count domains; 1 for a switch
   std::string_view text;  ///< the text as given
   int word = -1;          ///< index into Domain::words when a word matched
+  bool given = true;      ///< false when parse() applied the fallback
 
   /// Stores the value in `field`: the number for an arithmetic field (a
   /// count domain has checked that it fits), else the text.

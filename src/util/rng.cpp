@@ -5,31 +5,11 @@
 
 namespace redcr::util {
 
-namespace {
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-/// xoshiro256**'s output scrambler; it reads only s[1].
-constexpr std::uint64_t starstar(std::uint64_t s1) noexcept {
-  return rotl(s1 * 5, 7) * 9;
-}
-
-/// The top 53 bits of `x` as a double in [0, 1).
-constexpr double unit53(std::uint64_t x) noexcept {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-/// The seed split(salt) gives its child: the parent state mixed with the
-/// salt through SplitMix64, so children with different salts are
-/// decorrelated from the parent and from each other.
-constexpr std::uint64_t child_seed(const std::array<std::uint64_t, 4>& s,
-                                   std::uint64_t salt) noexcept {
-  return SplitMix64{s[0] ^ rotl(s[3], 23) ^ (salt * kGolden)}.next();
-}
-}  // namespace
+using rng_detail::child_seed;
+using rng_detail::kGolden;
+using rng_detail::rotl;
+using rng_detail::starstar;
+using rng_detail::unit53;
 
 Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) noexcept {
   SplitMix64 sm{seed};
@@ -52,14 +32,11 @@ Xoshiro256ss::result_type Xoshiro256ss::next() noexcept {
 }
 
 Xoshiro256ss Xoshiro256ss::split(std::uint64_t salt) const noexcept {
-  return Xoshiro256ss{child_seed(s_, salt)};
+  return Xoshiro256ss{child_seed(key(), salt)};
 }
 
 double Xoshiro256ss::split_uniform01(std::uint64_t salt) const noexcept {
-  // The child's constructor sets s[1] to the second output of
-  // SplitMix64{seed}, which is the first output of SplitMix64{seed + kGolden}.
-  const std::uint64_t s1 = SplitMix64{child_seed(s_, salt) + kGolden}.next();
-  return unit53(starstar(s1));
+  return split_uniform01(key(), salt);
 }
 
 double Xoshiro256ss::uniform01() noexcept { return unit53(next()); }

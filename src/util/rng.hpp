@@ -17,6 +17,15 @@
 
 namespace redcr::util {
 
+/// The two state words of a Xoshiro256ss that split() reads, s[0] and s[3]:
+/// all a stream needs to derive its children. A caller that draws
+/// split(a).split(b).uniform01() for many b keeps the key of split(a)
+/// instead of rebuilding the chain per draw.
+struct SplitKey {
+  std::uint64_t s0 = 0;
+  std::uint64_t s3 = 0;
+};
+
 /// SplitMix64 — used to expand a single user seed into generator state.
 class SplitMix64 {
  public:
@@ -56,6 +65,25 @@ class Xoshiro256ss {
   /// two SplitMix64 finalizers.
   [[nodiscard]] double split_uniform01(std::uint64_t salt) const noexcept;
 
+  /// This stream's key.
+  [[nodiscard]] SplitKey key() const noexcept { return {s_[0], s_[3]}; }
+
+  /// split(salt).key() of the stream keyed `parent`, bit for bit, without
+  /// building the child: three SplitMix64 finalizers (the child's seed and
+  /// its first and fourth outputs).
+  [[nodiscard]] static constexpr SplitKey split_key(
+      SplitKey parent, std::uint64_t salt) noexcept;
+
+  /// split(salt).next() of the stream keyed `parent`, bit for bit: two
+  /// SplitMix64 finalizers. Inline, for per-message callers.
+  [[nodiscard]] static constexpr std::uint64_t split_next(
+      SplitKey parent, std::uint64_t salt) noexcept;
+
+  /// split(salt).uniform01() of the stream keyed `parent`, bit for bit, like
+  /// the member form.
+  [[nodiscard]] static constexpr double split_uniform01(
+      SplitKey parent, std::uint64_t salt) noexcept;
+
   /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform01() noexcept;
 
@@ -81,5 +109,64 @@ class Xoshiro256ss {
   double spare_normal_ = 0.0;
   bool has_spare_ = false;
 };
+
+namespace rng_detail {
+
+inline constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// xoshiro256**'s output scrambler; it reads only s[1].
+constexpr std::uint64_t starstar(std::uint64_t s1) noexcept {
+  return rotl(s1 * 5, 7) * 9;
+}
+
+/// The top 53 bits of `x` as a double in [0, 1).
+constexpr double unit53(std::uint64_t x) noexcept {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/// The seed split(salt) gives its child: the parent's s[0] and s[3] mixed
+/// with the salt through SplitMix64, so children with different salts are
+/// decorrelated from the parent and from each other.
+constexpr std::uint64_t child_seed(SplitKey parent,
+                                   std::uint64_t salt) noexcept {
+  return SplitMix64{parent.s0 ^ rotl(parent.s3, 23) ^ (salt * kGolden)}.next();
+}
+
+/// Output k (1-based) of SplitMix64{seed}, which the constructor stores in
+/// s[k - 1].
+constexpr std::uint64_t seeded_word(std::uint64_t seed, int k) noexcept {
+  return SplitMix64{seed + static_cast<std::uint64_t>(k - 1) * kGolden}.next();
+}
+
+}  // namespace rng_detail
+
+// Why the keyed forms equal the full chain bit for bit: the constructor sets
+// s[k - 1] = f(seed + k * kGolden) for k = 1..4, where f is SplitMix64's
+// finalizer, a bijection on 64-bit words. kGolden is odd, so the four
+// arguments are distinct, at most one word is zero, and the all-zero guard
+// never fires: every word of a constructed state is exactly its SplitMix64
+// output. split() reads only s[0] and s[3], and the first output of
+// xoshiro256** reads only s[1].
+
+constexpr SplitKey Xoshiro256ss::split_key(SplitKey parent,
+                                           std::uint64_t salt) noexcept {
+  const std::uint64_t seed = rng_detail::child_seed(parent, salt);
+  return {rng_detail::seeded_word(seed, 1), rng_detail::seeded_word(seed, 4)};
+}
+
+constexpr std::uint64_t Xoshiro256ss::split_next(SplitKey parent,
+                                                 std::uint64_t salt) noexcept {
+  using namespace rng_detail;
+  return starstar(seeded_word(child_seed(parent, salt), 2));
+}
+
+constexpr double Xoshiro256ss::split_uniform01(SplitKey parent,
+                                               std::uint64_t salt) noexcept {
+  return rng_detail::unit53(split_next(parent, salt));
+}
 
 }  // namespace redcr::util

@@ -1,12 +1,15 @@
 // Allocation budget of the simulator's hot path. Coroutine frames, request
-// states, data payloads and the redundancy layer's fan-out and copy-set
-// bookkeeping come from util::BlockPool, and every completion hook fits
-// std::function's inline buffer, so a whole JobExecutor::run() calls the
-// global operator new far less than once per engine event (0.058 here:
-// 2 432 calls for 41 599 events). A new per-message heap allocation
-// anywhere on the path shows up here as one call per event or more; the
-// 0.1 bound also catches the quiesce and agreement payloads going back to
-// the heap (0.180 when each took a vector and a shared_ptr block).
+// states, data payloads and the redundancy layer's copy-sets come from
+// util::BlockPool, a physical copy completes through a plain sink (no
+// request, no closure), the mailboxes reuse their buffers, and every
+// engine callback fits std::function's inline buffer, so a whole
+// JobExecutor::run() calls the global operator new far less than once per
+// engine event (0.039 here: 1 632 calls for 41 599 events; 0.058 when each
+// copy made a request and the mailboxes were deques). A new per-message
+// heap allocation anywhere on the path shows up here as one call per event
+// or more; the 0.1 bound also catches the quiesce and agreement payloads
+// going back to the heap (0.180 when each took a vector and a shared_ptr
+// block).
 //
 // The serve replay has a budget too: heap calls only for plan-cache
 // misses, none for hits.

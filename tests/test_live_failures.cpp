@@ -138,6 +138,41 @@ TEST(LiveRedComm, AbortCompletesPendingRecvFromCorpse) {
   EXPECT_DOUBLE_EQ(got[0].payload.values()[0], 8.0);
 }
 
+TEST(LiveRedComm, AbortedCopyLeavesTheSurvivorsToVote) {
+  // r = 3: every receiver replica posts its copy-set, then one sender
+  // replica dies and its pending copies are aborted. The two survivors'
+  // copies still vote, with the virtual envelope intact.
+  LiveHarness h(2, 3.0);
+  std::vector<simmpi::Request> got;
+  for (const red::Rank p : h.map.replicas(1))
+    got.push_back(h.comms[static_cast<std::size_t>(p)]->irecv(0, 4));
+  const red::Rank corpse = h.map.replicas(0)[2];
+  h.liveness.dead[static_cast<std::size_t>(corpse)] = true;
+  std::size_t aborted = 0;
+  for (int p = 0; p < h.world.size(); ++p)
+    aborted += h.world.endpoint(p).abort_posted_from(corpse);
+  EXPECT_EQ(aborted, 3u);  // one sub-receive per receiver replica
+  for (const red::Rank p : h.map.replicas(0)) {
+    if (p == corpse) continue;
+    h.engine.spawn(live_send(*h.comms[static_cast<std::size_t>(p)], 1, 4, 6.5));
+  }
+  h.engine.run();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const simmpi::Request& r = got[i];
+    ASSERT_TRUE(r->complete);
+    ASSERT_FALSE(r->aborted);
+    EXPECT_EQ(r->message.envelope.source, 0);
+    EXPECT_EQ(r->message.envelope.dest, 1);
+    EXPECT_EQ(r->message.envelope.tag, 4);
+    EXPECT_DOUBLE_EQ(r->message.payload.values()[0], 6.5);
+    const red::RedStats& stats =
+        h.comms[static_cast<std::size_t>(h.map.replicas(1)[i])]->stats();
+    EXPECT_EQ(stats.messages_compared, 1u);
+    EXPECT_EQ(stats.mismatches_detected, 0u);
+  }
+  EXPECT_EQ(h.world.stats().messages_sent, 6u);  // 2 live senders x 3
+}
+
 TEST(LiveRedComm, WildcardSiblingFailsOverWhenTheLeaderDiesMidInstance) {
   LiveHarness h(2, 2.0);
   // Both replicas of sphere 1 post a wildcard receive: the leader its

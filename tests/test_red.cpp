@@ -194,6 +194,116 @@ TEST(RedComm, SingleToReplicatedFanout) {
   EXPECT_DOUBLE_EQ(at1[0].payload.values()[0], 4.0);
 }
 
+// --- Copy-sets: every physical copy completes into RedComm -------------------
+
+/// Checks a delivered message against its virtual envelope and value.
+void expect_delivered(const simmpi::Request& r, Rank src, Rank dst, int tag,
+                      double value) {
+  ASSERT_TRUE(r->complete);
+  ASSERT_FALSE(r->aborted);
+  EXPECT_EQ(r->message.envelope.source, src);
+  EXPECT_EQ(r->message.envelope.dest, dst);
+  EXPECT_EQ(r->message.envelope.tag, tag);
+  EXPECT_DOUBLE_EQ(r->message.payload.values()[0], value);
+}
+
+class CopiesBeforeThePost : public ::testing::TestWithParam<double> {};
+
+TEST_P(CopiesBeforeThePost, VoteLikeCopiesThatArriveAfterIt) {
+  // Every copy is already in the unexpected queue when the receive posts,
+  // so each sub-receive matches inside irecv and the copy-set finishes at
+  // the posting guard's release.
+  const double r = GetParam();
+  RedHarness h(2, r);
+  for (RedComm* sender : h.sphere(0))
+    h.engine.spawn(red_send(*sender, 1, 6, 2.75));
+  h.engine.run();
+  h.engine.clear_stop();
+  const auto copies = static_cast<std::uint64_t>(r * r);
+  ASSERT_EQ(h.world.stats().messages_sent, copies);
+  EXPECT_EQ(h.world.stats().matched_posted, 0u);
+  for (RedComm* receiver : h.sphere(1)) {
+    const simmpi::Request got = receiver->irecv(0, 6);
+    expect_delivered(got, 0, 1, 6, 2.75);
+    EXPECT_EQ(receiver->stats().messages_compared, 1u);
+    EXPECT_EQ(receiver->stats().mismatches_detected, 0u);
+  }
+  EXPECT_EQ(h.world.stats().matched_from_unexpected, copies);
+}
+
+TEST_P(CopiesBeforeThePost, SomeBeforeAndSomeAfterStillVote) {
+  // Replica 0's copies wait in the unexpected queue; the rest arrive on
+  // posted sinks. The last replica is corrupt: r = 2 detects, r = 3
+  // outvotes.
+  const double r = GetParam();
+  RedHarness h(2, r);
+  const auto senders = h.sphere(0);
+  senders.back()->set_corruption_hook([](Payload p) {
+    return Payload::of({p.values()[0] + 100.0});
+  });
+  h.engine.spawn(red_send(*senders[0], 1, 6, 1.5));
+  h.engine.run();
+  h.engine.clear_stop();
+  std::vector<simmpi::Request> got;
+  for (RedComm* receiver : h.sphere(1)) got.push_back(receiver->irecv(0, 6));
+  for (std::size_t i = 1; i < senders.size(); ++i)
+    h.engine.spawn(red_send(*senders[i], 1, 6, 1.5));
+  h.engine.run();
+  const auto receivers = h.sphere(1);
+  for (std::size_t i = 0; i < receivers.size(); ++i) {
+    // The vote keeps the first full copy unless a majority outvotes it.
+    expect_delivered(got[i], 0, 1, 6, 1.5);
+    EXPECT_EQ(receivers[i]->stats().messages_compared, 1u);
+    EXPECT_EQ(receivers[i]->stats().mismatches_detected, 1u);
+    EXPECT_EQ(receivers[i]->stats().mismatches_corrected, r > 2.0 ? 1u : 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DualAndTriple, CopiesBeforeThePost,
+                         ::testing::Values(2.0, 3.0));
+
+TEST(CopySets, MsgPlusHashVotesOneFullAndOneHashCopy) {
+  // r = 2 msg-plus-hash: each receiver gets its paired replica's full copy
+  // and the other replica's hash. Replica 1 of the sender sphere is
+  // corrupt, so receiver 0 keeps the clean full copy, receiver 1 the
+  // corrupt one, and both detect. Receiver 0 posts before the copies
+  // arrive, receiver 1 after.
+  RedConfig cfg;
+  cfg.mode = Mode::kMsgPlusHash;
+  RedHarness h(2, 2.0, cfg);
+  const auto senders = h.sphere(0);
+  senders[1]->set_corruption_hook([](Payload p) {
+    return Payload::of({p.values()[0] * 2.0});
+  });
+  const auto receivers = h.sphere(1);
+  const simmpi::Request early = receivers[0]->irecv(0, 8);
+  for (RedComm* sender : senders) h.engine.spawn(red_send(*sender, 1, 8, 5.0));
+  h.engine.run();
+  h.engine.clear_stop();
+  const simmpi::Request late = receivers[1]->irecv(0, 8);
+  EXPECT_EQ(h.world.stats().messages_sent, 4u);  // 2 full + 2 hash
+  expect_delivered(early, 0, 1, 8, 5.0);
+  expect_delivered(late, 0, 1, 8, 10.0);
+  for (RedComm* receiver : receivers) {
+    EXPECT_EQ(receiver->stats().messages_compared, 1u);
+    EXPECT_EQ(receiver->stats().mismatches_detected, 1u);
+    EXPECT_EQ(receiver->stats().mismatches_corrected, 0u);
+  }
+  EXPECT_EQ(h.world.stats().matched_posted, 2u);
+  EXPECT_EQ(h.world.stats().matched_from_unexpected, 2u);
+}
+
+TEST(CopySets, FanOutCompletesTheSendWithItsLastCopy) {
+  // The application's send completes when the last physical copy has been
+  // handed to the network, and not before.
+  RedHarness h(2, 3.0);
+  const simmpi::Request sent = h.sphere(0)[0]->isend(1, 4, Payload::sized(8));
+  EXPECT_FALSE(sent->complete);
+  h.engine.run();
+  EXPECT_TRUE(sent->complete);
+  EXPECT_EQ(h.world.stats().messages_sent, 3u);
+}
+
 sim::Task red_wildcard_recv(RedComm& comm, int tag, std::vector<Message>& out) {
   Message m = co_await comm.recv(kAnySource, tag);
   out.push_back(m);

@@ -18,10 +18,16 @@
 #include <vector>
 
 #include "apps/serve.hpp"
+#include "apps/synthetic.hpp"
 #include "ckpt/hierarchy.hpp"
+#include "ckpt/storage.hpp"
 #include "cli_inputs.hpp"
 #include "exp/exp.hpp"
+#include "failure/faults.hpp"
+#include "model/extensions.hpp"
+#include "net/network.hpp"
 #include "redcr/redcr.hpp"
+#include "runtime/executor.hpp"
 
 namespace {
 
@@ -198,6 +204,116 @@ TEST(Schema, ValuesReachTheirFields) {
   EXPECT_EQ(serve.options.jobs, 0);
   EXPECT_EQ(serve.options.cache_capacity, 0u);
   EXPECT_EQ(serve.options.mode, model::EvalMode::kExact);
+}
+
+TEST(Schema, WorkloadFlagsNeedTheWorkloadThatReadsThem) {
+  // --rows is cg's, --grid-side stencil's, --halo-bytes synthetic's; a
+  // flag the chosen workload ignores is bad input, not silently dropped.
+  const auto check = [](std::vector<std::string> args) -> std::string {
+    cli::RunInputs run;
+    const std::string parse_error = error_of(cli::run_flags(run), args);
+    if (!parse_error.empty()) return "parse: " + parse_error;
+    try {
+      run.check_workload_flags();
+      return "";
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  };
+  EXPECT_EQ(check({"--rows", "8"}),
+            "--rows is read only by --workload cg, not synthetic");
+  EXPECT_EQ(check({"--grid-side", "3", "--workload", "cg"}),
+            "--grid-side is read only by --workload stencil, not cg");
+  EXPECT_EQ(check({"--workload", "stencil", "--halo-bytes", "1e6"}),
+            "--halo-bytes is read only by --workload synthetic, not stencil");
+  EXPECT_EQ(check({"--workload", "cg", "--rows", "8"}), "");
+  EXPECT_EQ(check({"--grid-side", "3", "--workload", "stencil"}), "");
+  EXPECT_EQ(check({"--halo-bytes", "1e6"}), "");
+  // Their defaults apply to every workload without complaint.
+  for (const char* workload :
+       {"synthetic", "cg", "stencil", "spectral", "masterworker"})
+    EXPECT_EQ(check({"--workload", workload}), "") << workload;
+}
+
+/// The message of the std::invalid_argument `reject` throws, or "".
+template <class F>
+std::string rejection_of(F reject) {
+  try {
+    reject();
+    return "";
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+}
+
+/// True when `message` ends with `tail`.
+bool ends_with(const std::string& message, std::string_view tail) {
+  return message.size() >= tail.size() &&
+         message.compare(message.size() - tail.size(), tail.size(), tail) == 0;
+}
+
+TEST(Schema, RejectedDoublesPrintAsSent) {
+  // One case per validator class: a value just outside its range reads
+  // back from the message, where std::to_string printed "-0.000000" or
+  // "1.000000".
+  const auto expect_tail = [](const std::string& message,
+                              std::string_view tail) {
+    EXPECT_TRUE(ends_with(message, tail)) << "'" << message << "'";
+  };
+  failure::CkptFaultParams faults;
+  faults.corruption_prob = 1.0000001;
+  expect_tail(rejection_of([&] { faults.validate(); }), "got 1.0000001");
+  failure::SdcParams sdc;
+  sdc.inflight_prob = -1e-9;
+  expect_tail(rejection_of([&] { sdc.validate(); }), "got -1e-09");
+  sdc = {};
+  sdc.atrest_rate = -1e-9;
+  expect_tail(rejection_of([&] { sdc.validate(); }), "got -1e-09");
+  failure::RetryPolicy retry;
+  retry.backoff_base = -1e-9;
+  expect_tail(rejection_of([&] { retry.validate("retry"); }), "got -1e-09");
+  retry = {};
+  retry.backoff_cap = -1e-300;
+  expect_tail(rejection_of([&] { retry.validate("retry"); }), "got -1e-300");
+
+  ckpt::LevelParams level;
+  level.corruption_prob = 1.0000001;
+  expect_tail(rejection_of([&] { level.validate(0, 8); }), "got 1.0000001");
+  level = {};
+  level.write_failure_prob = -1e-9;
+  expect_tail(rejection_of([&] { level.validate(0, 8); }), "got -1e-09");
+  level = {};
+  level.read_bandwidth = -1e-9;
+  expect_tail(rejection_of([&] { level.validate(0, 8); }), "got -1e-09");
+  ckpt::StorageParams storage;
+  storage.bandwidth = -1e-9;
+  expect_tail(rejection_of([&] { storage.validate(); }), "got -1e-09");
+  storage = {};
+  storage.base_latency = -1e-9;
+  expect_tail(rejection_of([&] { storage.validate(); }), "got -1e-09");
+  net::NetworkParams network;
+  network.bandwidth = -1e-9;
+  expect_tail(rejection_of([&] { network.validate(); }), "got -1e-09");
+
+  const auto executor_rejection = [](const runtime::JobConfig& cfg) {
+    return rejection_of([&] {
+      runtime::JobExecutor(cfg, [](int, int) {
+        return std::make_unique<apps::SyntheticWorkload>(
+            apps::SyntheticSpec{});
+      });
+    });
+  };
+  runtime::JobConfig job;
+  job.checkpoint_interval = -1e-9;
+  EXPECT_NE(executor_rejection(job).find("got -1e-09 "), std::string::npos)
+      << executor_rejection(job);
+  job = {};
+  job.restart_cost = -1e-9;
+  expect_tail(executor_rejection(job), "got -1e-09");
+  expect_tail(rejection_of([] {
+                (void)model::predicted_failure_waste(-1e-9, 1.0, 1.0);
+              }),
+              "got -1e-09");
 }
 
 TEST(Schema, ServeRejectsOutOfDomainScenarioKeys) {

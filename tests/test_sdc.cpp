@@ -26,6 +26,7 @@
 #include "obs/recorder.hpp"
 #include "runtime/executor.hpp"
 #include "simmpi/types.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace redcr {
@@ -118,6 +119,85 @@ TEST(SdcOracle, ZeroRateNeverInfects) {
                                 failure::SdcParams{});
   EXPECT_TRUE(std::isinf(p.sdc_infection_time(0, 0)));
   EXPECT_FALSE(p.sdc_flips_copy(0, 0, 0, 0));
+}
+
+/// Checks SdcMonitor::on_copies against FaultProcess::sdc_flips_copy over a
+/// grid of episodes, ranks, copies and ordinals; returns the flips.
+std::size_t expect_monitor_matches_oracle(const failure::FaultProcess& faults,
+                                          const red::ReplicaMap& map,
+                                          int copies) {
+  std::size_t flips = 0;
+  for (const std::uint64_t episode : {0ull, 1ull, 12345ull}) {
+    failure::SdcMonitor monitor(map, faults, episode);
+    std::uint64_t episode_flips = 0;
+    for (int rank = 0; rank < static_cast<int>(map.num_physical()); ++rank) {
+      for (std::uint64_t k = 0; k < 200; ++k) {
+        const std::uint64_t ordinal = k < 190 ? k : ~std::uint64_t{0} - k;
+        std::vector<std::uint64_t> strains(static_cast<std::size_t>(copies));
+        monitor.on_copies(rank, ordinal, strains, 0.0);
+        for (int copy = 0; copy < copies; ++copy) {
+          const bool flipped = strains[static_cast<std::size_t>(copy)] != 0;
+          EXPECT_EQ(flipped,
+                    faults.sdc_flips_copy(episode, rank, ordinal, copy))
+              << "p " << faults.sdc().inflight_prob << " episode " << episode
+              << " rank " << rank << " copy " << copy << " ordinal " << ordinal;
+          episode_flips += flipped ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(monitor.stats().injected_inflight, episode_flips);
+    flips += episode_flips;
+  }
+  return flips;
+}
+
+TEST(SdcOracle, MonitorFlipsExactlyTheCopiesTheOracleFlips) {
+  // SdcMonitor decides each copy from per-episode stream keys and an
+  // integer threshold; the oracle rebuilds the whole split chain and
+  // compares a uniform. At p = 0.3 about a third of the grid flips, so a
+  // decision that drifts by one draw shows; p = 0.5 and 1 are exact
+  // dyadic thresholds.
+  const red::ReplicaMap map(8, 2.5);  // spheres of 2 and 3: copies 0..2
+  const std::size_t grid = 3 * map.num_physical() * 3 * 200;
+  for (const double p : {0.3, 0.5, 1.0, 2e-4}) {
+    failure::SdcParams s;
+    s.inflight_prob = p;
+    s.seed = 77;
+    const failure::FaultProcess faults(failure::CkptFaultParams{}, s);
+    const std::size_t flips = expect_monitor_matches_oracle(faults, map, 3);
+    if (p == 0.3) {
+      EXPECT_GT(flips, grid / 4);
+      EXPECT_LT(flips, grid * 7 / 20);
+    }
+    if (p == 1.0) {
+      EXPECT_EQ(flips, grid);
+    }
+  }
+}
+
+TEST(SdcOracle, MonitorThresholdIsExactAtADrawsOwnValue) {
+  // At p equal to one copy's own draw u, u < p is false: that copy stays
+  // clean; one ulp above, it flips.
+  failure::SdcParams s;
+  s.inflight_prob = 0.5;
+  s.seed = 5;
+  const red::ReplicaMap map(4, 2.0);
+  const double u = util::Xoshiro256ss(s.seed)
+                       .split(static_cast<std::uint64_t>(
+                           failure::FaultClass::kSdcInFlight))
+                       .split(3)
+                       .split(failure::FaultProcess::sdc_copy_salt(2, 1))
+                       .split(17)
+                       .uniform01();
+  for (const double p : {u, std::nextafter(u, 2.0)}) {
+    s.inflight_prob = p;
+    const failure::FaultProcess faults(failure::CkptFaultParams{}, s);
+    failure::SdcMonitor monitor(map, faults, 3);
+    std::uint64_t strains[2] = {};
+    monitor.on_copies(2, 17, strains, 0.0);
+    EXPECT_EQ(strains[1] != 0, p > u) << "p " << p;
+    EXPECT_EQ(faults.sdc_flips_copy(3, 2, 17, 1), p > u) << "p " << p;
+  }
 }
 
 TEST(SdcOracle, SeedChangesTheSchedule) {

@@ -2,7 +2,9 @@
 // wildcard receives, ordering, and world plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -231,6 +233,153 @@ TEST(SimMpi, ContentionDisabledRunsInParallel) {
   h.engine.spawn(recv_one(h, 2, 0, 1, got));
   h.engine.run();
   EXPECT_NEAR(h.engine.now(), 1.0, 1e-9);
+}
+
+// --- Mailbox order against a std::deque reference ----------------------------
+
+/// The reference model of a mailbox queue: the earliest compatible entry
+/// matches and leaves; the others keep their order.
+struct Entry {
+  Rank src = kAnySource;
+  int tag = kAnyTag;
+  double value = 0.0;
+};
+
+bool compatible(Rank want_src, int want_tag, Rank src, int tag) {
+  return (want_src == kAnySource || want_src == src) &&
+         (want_tag == kAnyTag || want_tag == tag);
+}
+
+/// Delivers `value` from `src` to `dst` under `tag` into the mailbox.
+void deliver(Harness& h, Rank src, Rank dst, int tag, double value) {
+  h.world.endpoint(src).isend(dst, tag, scalar_payload(value));
+  h.engine.run();
+  h.engine.clear_stop();
+}
+
+TEST(Mailbox, TagSelectiveReceiveTakesTheMiddleOfTheUnexpectedQueue) {
+  Harness h(3);
+  std::deque<Entry> reference;
+  const Entry sent[] = {{0, 1, 10.0}, {2, 2, 20.0}, {0, 3, 30.0},
+                        {2, 3, 31.0}, {0, 4, 40.0}};
+  for (const Entry& e : sent) {
+    deliver(h, e.src, 1, e.tag, e.value);
+    reference.push_back(e);
+  }
+  // Tag 3 matches the third entry; then source 2 any tag matches the second;
+  // then wildcards drain the rest in arrival order.
+  const std::pair<Rank, int> asks[] = {{kAnySource, 3}, {2, kAnyTag},
+                                       {kAnySource, kAnyTag},
+                                       {kAnySource, kAnyTag},
+                                       {kAnySource, kAnyTag}};
+  for (const auto& [src, tag] : asks) {
+    const Request r = h.world.endpoint(1).irecv(src, tag);
+    ASSERT_TRUE(r->complete) << "an unexpected message matches at post";
+    const auto it = std::find_if(reference.begin(), reference.end(),
+                                 [&](const Entry& e) {
+                                   return compatible(src, tag, e.src, e.tag);
+                                 });
+    ASSERT_NE(it, reference.end());
+    EXPECT_EQ(r->message.envelope.source, it->src);
+    EXPECT_EQ(r->message.envelope.tag, it->tag);
+    EXPECT_DOUBLE_EQ(r->message.payload.values()[0], it->value);
+    reference.erase(it);
+  }
+  EXPECT_EQ(h.world.stats().matched_from_unexpected, 5u);
+}
+
+TEST(Mailbox, AbortRemovesMiddlePostedEntriesAndKeepsTheRestInOrder) {
+  Harness h(3);
+  Endpoint& inbox = h.world.endpoint(2);
+  // Requests and sinks share the posted queue: sources 0 1 0 1 0, tag 5.
+  struct Sunk {
+    int calls = 0;
+    bool aborted = false;
+    double value = 0.0;
+  };
+  std::vector<Sunk> sunk(5);
+  const auto sink_fn = [](void* context, std::uint32_t index,
+                          Message* message) {
+    Sunk& s = static_cast<Sunk*>(context)[index];
+    ++s.calls;
+    s.aborted = message == nullptr;
+    if (message != nullptr) s.value = message->payload.values()[0];
+  };
+  const Rank sources[] = {0, 1, 0, 1, 0};
+  std::vector<Request> requests(5);
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    if (i % 2 == 0) {
+      requests[i] = inbox.irecv(sources[i], 5);
+    } else {
+      inbox.irecv(sources[i], 5, Sink{sink_fn, sunk.data(), i});
+    }
+  }
+  EXPECT_EQ(inbox.abort_posted_from(1), 2u);
+  for (std::uint32_t i : {1u, 3u}) {
+    EXPECT_EQ(sunk[i].calls, 1);
+    EXPECT_TRUE(sunk[i].aborted);
+  }
+  // The three posts from source 0 stay, in posting order.
+  for (double v : {1.0, 2.0, 3.0}) deliver(h, 0, 2, 5, v);
+  for (std::uint32_t i : {0u, 2u, 4u}) {
+    ASSERT_TRUE(requests[i]->complete);
+    EXPECT_FALSE(requests[i]->aborted);
+    EXPECT_DOUBLE_EQ(requests[i]->message.payload.values()[0], 1.0 + i / 2);
+  }
+  EXPECT_EQ(h.world.stats().matched_posted, 3u);
+}
+
+TEST(Mailbox, LongBacklogsDrainInMixedOrderLikeADeque) {
+  // 100 unexpected messages under 5 tags, drained by a seeded mix of tag
+  // and wildcard receives; then 100 posted receives matched by arrivals.
+  Harness h(2);
+  Endpoint& inbox = h.world.endpoint(1);
+  std::deque<Entry> reference;
+  for (int i = 0; i < 100; ++i) {
+    const Entry e{0, i % 5, static_cast<double>(i)};
+    deliver(h, 0, 1, e.tag, e.value);
+    reference.push_back(e);
+  }
+  std::uint64_t state = 7;
+  const auto pick = [&state](int n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>((state >> 33) % static_cast<std::uint64_t>(n));
+  };
+  while (!reference.empty()) {
+    int tag = pick(6) - 1;  // -1 = kAnyTag
+    if (tag != kAnyTag &&
+        std::none_of(reference.begin(), reference.end(),
+                     [&](const Entry& e) { return e.tag == tag; }))
+      tag = kAnyTag;
+    const Request r = inbox.irecv(0, tag);
+    ASSERT_TRUE(r->complete);
+    const auto it = std::find_if(reference.begin(), reference.end(),
+                                 [&](const Entry& e) {
+                                   return compatible(0, tag, 0, e.tag);
+                                 });
+    EXPECT_DOUBLE_EQ(r->message.payload.values()[0], it->value);
+    reference.erase(it);
+  }
+
+  std::deque<std::pair<int, Request>> posted;  // (tag, request)
+  for (int i = 0; i < 100; ++i) {
+    const int tag = pick(5);
+    posted.emplace_back(tag, inbox.irecv(0, tag));
+  }
+  std::vector<std::pair<Request, double>> expected;
+  for (int i = 0; !posted.empty(); ++i) {
+    const int tag = posted[static_cast<std::size_t>(pick(
+                               static_cast<int>(posted.size())))].first;
+    const auto it = std::find_if(posted.begin(), posted.end(),
+                                 [&](const auto& p) { return p.first == tag; });
+    expected.emplace_back(it->second, 1000.0 + i);
+    posted.erase(it);
+    deliver(h, 0, 1, tag, 1000.0 + i);
+  }
+  for (const auto& [request, value] : expected) {
+    ASSERT_TRUE(request->complete);
+    EXPECT_DOUBLE_EQ(request->message.payload.values()[0], value);
+  }
 }
 
 TEST(Payload, HashDiscriminatesContent) {

@@ -1,4 +1,4 @@
-// Storage golden bytes: the journal NDJSON and the metrics NDJSON of four
+// Storage golden bytes: the journal NDJSON and the metrics NDJSON of six
 // pinned runs are regenerated in process and compared byte for byte with the
 // checked-in files under tests/data/:
 //
@@ -7,11 +7,20 @@
 //                 restart failures at retention 3
 //   flat_forked   forked flat checkpoints with write failures
 //   levels_async  three-level hierarchy with an asynchronous PFS flush
+//   sdc_dual      dual redundancy with in-flight and at-rest SDC: voting
+//                 detects, the episode rolls back
+//   sdc_triple_hash_levels
+//                 triple msg-plus-hash redundancy with SDC over the
+//                 three-level hierarchy: voting corrects, hash copies vote,
+//                 a rollback restores from level 0
 //
-// The files were captured from the two-pipeline implementation, before the
-// flat store became a one-level hierarchy, so they pin that the lowered
+// The first four were captured from the two-pipeline implementation, before
+// the flat store became a one-level hierarchy, so they pin that the lowered
 // store still looks flat from outside: no level ids or kind details on the
-// flat events, no per-level metrics, the flat fault-oracle streams.
+// flat events, no per-level metrics, the flat fault-oracle streams. The two
+// SDC files were captured before the voted copies moved off per-copy
+// requests and per-copy stream construction, so they pin that every
+// replicated, voted message still draws, votes and journals the same.
 //
 // Each configuration mirrors a `redcr_cli run` command line (the CLI's
 // defaults plus the flags named in the comment above it).
@@ -131,6 +140,32 @@ Cell levels_async() {
   return cell;
 }
 
+// run --virtual 8 --redundancy 2 --mtbf-hours 1e6 --iterations 40
+//     --compute-sec 5 --interval-sec 60 --ckpt-retention 3
+//     --sdc-inflight-prob 2e-4 --sdc-atrest-rate 2e-4 --sdc-seed 4243
+//     --seed 7 --faults-seed 11   (scripts/ci.sh's SDC journal cell)
+Cell sdc_dual() {
+  Cell cell = cli_defaults(2.0, 1e6, 60.0, 7);
+  cell.spec.iterations = 40;
+  cell.config.ckpt_retention = 3;
+  cell.config.ckpt_faults.seed = 11;
+  cell.config.sdc.inflight_prob = 2e-4;
+  cell.config.sdc.atrest_rate = 2e-4;
+  cell.config.sdc.seed = 4243;
+  return cell;
+}
+
+// sdc_dual + --redundancy 3 --msg-plus-hash --mtbf-hours 2
+//     --ckpt-levels "$LEVELS_3" --async-flush
+Cell sdc_triple_hash_levels() {
+  Cell cell = sdc_dual();
+  cell.config.redundancy = 3.0;
+  cell.config.red.mode = red::Mode::kMsgPlusHash;
+  cell.config.fail.node_mtbf = util::hours(2.0);
+  cell.config.hierarchy = levels_async().config.hierarchy;
+  return cell;
+}
+
 struct Exports {
   std::string journal;
   std::string metrics;
@@ -172,6 +207,14 @@ TEST(StorageGolden, FlatForkedWriteFailures) {
 
 TEST(StorageGolden, ThreeLevelAsyncFlush) {
   expect_golden("levels_async", levels_async);
+}
+
+TEST(StorageGolden, SdcDualDetectionAndRollback) {
+  expect_golden("sdc_dual", sdc_dual);
+}
+
+TEST(StorageGolden, SdcTripleMsgPlusHashOverLevels) {
+  expect_golden("sdc_triple_hash_levels", sdc_triple_hash_levels);
 }
 
 }  // namespace

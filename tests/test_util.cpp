@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/fifo.hpp"
 #include "util/pool.hpp"
 #include "util/rc.hpp"
 #include "util/rng.hpp"
@@ -90,6 +92,43 @@ TEST(Rng, SplitUniform01IsTheChildsFirstUniform) {
     }
   }
   EXPECT_GE(pairs, 1000000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Rng, KeyedSplitsMatchTheFullChain) {
+  // The SDC in-flight draw's shape: seed.split(class).split(episode) is
+  // kept as a key, split(who) as a key per (rank, copy), and each ordinal
+  // costs split_uniform01. Tuples cover episode 0, ordinal 0, ordinals next
+  // to 2^64, copies 0..7 and ranks up to 2^16 - 1.
+  SplitMix64 gen(20261019);
+  std::size_t tuples = 0;
+  std::size_t mismatches = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const std::uint64_t seed = gen.next();
+    const std::uint64_t cls = 1 + gen.next() % 7;
+    const std::uint64_t episode =
+        round % 4 == 0 ? 0 : (round % 4 == 1 ? gen.next() : gen.next() % 64);
+    const Xoshiro256ss stream = Xoshiro256ss(seed).split(cls).split(episode);
+    const SplitKey episode_key = stream.key();
+    for (std::uint64_t copy = 0; copy < 8; ++copy) {
+      const std::uint64_t rank =
+          copy == 0 ? 0xFFFF : (copy == 1 ? 0 : gen.next() % 0x10000);
+      const std::uint64_t who = (rank << 16) | copy;
+      const Xoshiro256ss sender = stream.split(who);
+      const SplitKey key = Xoshiro256ss::split_key(episode_key, who);
+      if (key.s0 != sender.key().s0 || key.s3 != sender.key().s3)
+        ++mismatches;
+      for (std::uint64_t k = 0; k < 125; ++k) {
+        const std::uint64_t ordinal =
+            k < 40 ? k : (k < 80 ? ~std::uint64_t{0} - (k - 40) : gen.next());
+        if (Xoshiro256ss::split_uniform01(key, ordinal) !=
+            sender.split(ordinal).uniform01())
+          ++mismatches;
+        ++tuples;
+      }
+    }
+  }
+  EXPECT_GE(tuples, 1000000u);
   EXPECT_EQ(mismatches, 0u);
 }
 
@@ -489,6 +528,73 @@ TEST(Rc, LastReleaseReturnsTheBlock) {
   const auto second = Rc<Tracked>::make(2, destroyed);
   EXPECT_EQ(second.get(), address);
   EXPECT_EQ(second->value, 2);
+}
+
+// --- Fifo --------------------------------------------------------------------
+
+/// Checks `fifo` against `reference` entry by entry.
+void expect_same(Fifo<int>& fifo, const std::deque<int>& reference) {
+  ASSERT_EQ(fifo.size(), reference.size());
+  ASSERT_EQ(fifo.empty(), reference.empty());
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    ASSERT_EQ(fifo[i], reference[i]) << "at " << i;
+}
+
+TEST(Fifo, TakesFromTheFrontAndTheMiddleInOrder) {
+  Fifo<int> fifo;
+  std::deque<int> reference;
+  for (int v = 0; v < 5; ++v) {
+    fifo.push_back(v);
+    reference.push_back(v);
+  }
+  EXPECT_EQ(fifo.take(2), 2);  // the middle: entries behind it move up
+  reference.erase(reference.begin() + 2);
+  expect_same(fifo, reference);
+  EXPECT_EQ(fifo.pop_front(), 0);
+  reference.pop_front();
+  expect_same(fifo, reference);
+  EXPECT_EQ(fifo.take(fifo.size() - 1), 4);  // the back
+  reference.pop_back();
+  expect_same(fifo, reference);
+  EXPECT_EQ(*fifo.begin(), 1);
+  EXPECT_EQ(fifo.end() - fifo.begin(), 2);
+}
+
+TEST(Fifo, LongBacklogDrainsInMixedOrderLikeADeque) {
+  // Backlogs past the compaction threshold, drained from the front, the
+  // middle and the back while new entries keep arriving.
+  SplitMix64 gen(64);
+  Fifo<int> fifo;
+  std::deque<int> reference;
+  int next = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int pushes = 20 + static_cast<int>(gen.next() % 120);
+    for (int i = 0; i < pushes; ++i) {
+      fifo.push_back(next);
+      reference.push_back(next++);
+    }
+    const std::size_t keep = gen.next() % 8;
+    while (reference.size() > keep) {
+      const std::uint64_t pick = gen.next() % 4;
+      const std::size_t at =
+          pick < 2 ? 0
+                   : static_cast<std::size_t>(gen.next() % reference.size());
+      ASSERT_EQ(fifo.take(at), reference[at]);
+      reference.erase(reference.begin() + static_cast<std::ptrdiff_t>(at));
+      expect_same(fifo, reference);
+    }
+  }
+}
+
+TEST(Fifo, MovedOutEntriesReleaseWhatTheyHeld) {
+  Fifo<std::unique_ptr<int>> fifo;
+  for (int v = 0; v < 100; ++v) fifo.push_back(std::make_unique<int>(v));
+  for (int v = 0; v < 100; ++v) {
+    const std::unique_ptr<int> front = fifo.pop_front();
+    ASSERT_NE(front, nullptr);
+    EXPECT_EQ(*front, v);
+  }
+  EXPECT_TRUE(fifo.empty());
 }
 
 struct ThrowsWhen {

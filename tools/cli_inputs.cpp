@@ -60,7 +60,29 @@ constexpr WorkloadDefaults kWorkloadDefaults[] = {
     {"synthetic", 92, 24.0}, {"cg", 150, 5.0},         {"stencil", 64, 5.0},
     {"spectral", 32, 5.0},   {"masterworker", 32, 1.0}};
 
+/// The setter of `flag`, which only `reader` reads: writes `field` and
+/// records the flag when it was given, for check_workload_flags().
+template <class T>
+util::Knob workload_knob(RunInputs& in, std::string_view flag,
+                         std::string_view metavar, std::string_view fallback,
+                         std::string_view reader, T& field) {
+  return {flag, metavar, fallback, Domain::of<T>(),
+          [&in, flag, reader, &field](Value v) {
+            v.to(field);
+            if (v.given) in.workload_flags.push_back({flag, reader});
+          }};
+}
+
 }  // namespace
+
+void RunInputs::check_workload_flags() const {
+  for (const auto& [flag, reader] : workload_flags) {
+    if (workload != reader)
+      throw std::invalid_argument("--" + std::string(flag) +
+                                  " is read only by --workload " +
+                                  std::string(reader) + ", not " + workload);
+  }
+}
 
 runtime::WorkloadFactory RunInputs::workload_factory() const {
   const WorkloadDefaults* d =
@@ -151,9 +173,10 @@ util::FlagSet run_flags(RunInputs& in) {
        [&in](Value v) { in.iterations = long(v.number); }},
       {"compute-sec", "S", "", Domain::number(),
        [&in](Value v) { in.compute_sec = v.number; }},
-      {"rows", "N", "64", in.rows},
-      {"grid-side", "N", "2", in.grid_side},
-      {"halo-bytes", "B", "300e6", in.halo_bytes},
+      workload_knob(in, "rows", "N", "64", "cg", in.rows),
+      workload_knob(in, "grid-side", "N", "2", "stencil", in.grid_side),
+      workload_knob(in, "halo-bytes", "B", "300e6", "synthetic",
+                    in.halo_bytes),
       {"protocol", "", "push", Domain::word("push|pull"),  // Replication order
        [&job](Value v) { job.replication = Replication(v.word); }},
       {"msg-plus-hash", "", "", Domain::flag(),

@@ -4,6 +4,8 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "apps/serve.hpp"
 #include "exp/cli.hpp"
@@ -38,11 +40,22 @@ struct RunInputs {
   std::size_t rows = 0;               ///< cg
   int grid_side = 0;                  ///< stencil
   double halo_bytes = 0.0;            ///< synthetic
+  /// A workload flag given on the command line, and the one workload that
+  /// reads it.
+  struct WorkloadFlag {
+    std::string_view flag;
+    std::string_view reader;
+  };
+  std::vector<WorkloadFlag> workload_flags;
   double interval_sec = 0.0;  ///< applied only while checkpointing is on
   std::optional<std::string> ckpt_levels;
   bool async_flush = false;
 
   [[nodiscard]] runtime::WorkloadFactory workload_factory() const;
+
+  /// Throws std::invalid_argument naming a given workload flag that
+  /// --workload does not read (--rows without cg, ...).
+  void check_workload_flags() const;
 };
 
 struct AnalyzeInputs {

@@ -164,6 +164,7 @@ int cmd_sweep(const cli::SweepInputs& in) {
 }
 
 int cmd_simulate(const cli::RunInputs& in) {
+  in.check_workload_flags();  // bad input: main() exits 2
   runtime::JobConfig cfg = in.job;
   if (cfg.checkpoint_enabled) cfg.checkpoint_interval = in.interval_sec;
   if (in.ckpt_levels) {
