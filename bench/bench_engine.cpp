@@ -16,8 +16,9 @@
 //                     speedup_vs_scalar and validates the documented error
 //                     bound (pole rule included; see model/batch.hpp)
 //   batch_eval_exact  the default EvalMode::kExact engine over the same
-//                     grid — reports speedup_vs_scalar and checks bitwise
-//                     equality against scalar predict()
+//                     grid (a predict() loop sharing one sphere-term
+//                     cache) — reports speedup_vs_scalar and checks
+//                     bitwise equality against scalar predict()
 //   serve_qps         apps::serve_replay over a synthetic NDJSON query log
 //                     (80% plan-cache hit rate) — the serving front-end's
 //                     end-to-end requests/sec
@@ -29,7 +30,8 @@
 //   bench_engine [--json] [--quick] [--jobs N] [--repeat N]
 //                [--guard BASELINE.json] [--tolerance F]
 //
-// It parses the shared bench flags and honours --quick, --jobs and --json.
+// It parses the shared bench flags and honours --quick and --json; --jobs
+// is accepted and ignored (every scenario runs on one thread).
 // --guard compares this run against a committed baseline JSON (the output
 // of a previous `bench_engine --json`) through exp::PerfGuard and exits 1
 // when a guarded rate (event_throughput, batch_eval, batch_eval_exact,
@@ -368,7 +370,6 @@ int main(int argc, char** argv) {
       degrees.push_back(std::min(r, 3.0));
     const std::size_t per_config = degrees.size();
     model::BatchOptions fast;
-    fast.jobs = args.jobs;
     fast.mode = model::EvalMode::kFast;
     exp::Measurement s{"batch_eval", "points/sec"};
     std::vector<model::Prediction> fast_out(points.size());
@@ -420,13 +421,11 @@ int main(int argc, char** argv) {
   }
 
   {  // --- batch_eval_exact (default mode: bitwise contract) ---
-    model::BatchOptions options;
-    options.jobs = args.jobs;
     exp::Measurement s{"batch_eval_exact", "points/sec"};
     std::vector<model::Prediction> batch_out(points.size());
     for (int i = 0; i < repeat; ++i) {
       const exp::Stopwatch clock;
-      model::evaluate_batch_into(points, batch_out, options);
+      model::evaluate_batch_into(points, batch_out);
       s.keep_fastest(clock.seconds(), points.size());
     }
     s.speedup = scalar_seconds / s.seconds;
@@ -465,7 +464,6 @@ int main(int argc, char** argv) {
       log += line;
     }
     apps::ServeOptions options;
-    options.jobs = args.jobs;
     options.cache_capacity = static_cast<std::size_t>(unique) + 1;
     exp::Measurement s{"serve_qps", "requests/sec"};
     for (int i = 0; i < repeat; ++i) {
@@ -563,16 +561,16 @@ int main(int argc, char** argv) {
   if (args.json) std::fputs(to_json(results, quick).c_str(), stdout);
 
   bool ok = guard.check(args, "bench_engine", results);
-  // Absolute rules, independent of the baseline. A parallel/vectorized path
-  // slower than its scalar reference is a regression: the old guard
-  // tolerated batch_eval's 0.948x silently because only the rate was
-  // compared. The fast-forward engine's contract is a >= 10x skip over the
-  // inter-failure churn on failure-heavy jobs; below that, arithmetic
-  // reconstruction has regressed into re-simulation.
+  // Absolute rules, independent of the baseline. A batch path slower than
+  // its scalar reference is a regression: the old guard tolerated
+  // batch_eval's 0.948x silently because only the rate was compared. The
+  // fast-forward engine's contract is a >= 10x skip over the inter-failure
+  // churn on failure-heavy jobs; below that, arithmetic reconstruction has
+  // regressed into re-simulation.
   for (const exp::Measurement& s : results) {
     if (s.speedup_label == "speedup_vs_scalar")
       ok = guard.require(args, s, s.speedup > 1.0, "%.2fx vs scalar",
-                         "parallel path must beat the scalar loop") &&
+                         "batch path must beat the scalar loop") &&
            ok;
     if (s.speedup_label == "speedup_vs_event")
       ok = guard.require(args, s, s.speedup >= 10.0, "%.1fx vs event engine",

@@ -37,9 +37,9 @@ void run_figure(const exp::BenchArgs& args, const char* csv_name,
   exp::ParamGrid grid;
   grid.axis("procs", procs).axis("r", degrees);
   const std::vector<exp::Trial> trials = grid.trials(args.filter);
-  // Pure model grid: hand the whole figure to the batch evaluator, which
-  // memoizes the shared Eq. 9 sphere terms and runs the points on a worker
-  // pool. Bitwise-identical to mapping predict() over the trials.
+  // Pure model grid: hand the whole figure to the batch evaluator, whose
+  // kExact loop shares the Eq. 9 sphere terms the procs axis repeats.
+  // Bitwise-identical to mapping predict() over the trials.
   std::vector<model::BatchPoint> points;
   points.reserve(trials.size());
   for (const exp::Trial& trial : trials) {
@@ -50,10 +50,7 @@ void run_figure(const exp::BenchArgs& args, const char* csv_name,
     point.r = trial.at("r");
     points.push_back(point);
   }
-  model::BatchOptions batch;
-  batch.jobs = args.run_options().jobs;
-  const std::vector<model::Prediction> preds =
-      model::evaluate_batch(points, batch);
+  const std::vector<model::Prediction> preds = model::evaluate_batch(points);
   std::vector<double> hours(preds.size());
   for (std::size_t i = 0; i < preds.size(); ++i)
     hours[i] = util::to_hours(preds[i].total_time);

@@ -125,10 +125,8 @@ int main(int argc, char** argv) {
         point.r = r;
         points.push_back(point);
       }
-    model::BatchOptions batch;
-    batch.jobs = args.run_options().jobs;
     const std::vector<model::Prediction> model_preds =
-        model::evaluate_batch(points, batch);
+        model::evaluate_batch(points);
     exp::ResultSink tm("table4_model", columns);
     tm.set_title("Combined-model prediction [minutes] (same grid)");
     for (std::size_t m = 0; m < mtbfs.size(); ++m) {

@@ -8,7 +8,7 @@
 //   - a cost-weighted blend (the paper's "cost function giving different
 //     weights to execution time and number of resources").
 //
-//   $ ./capacity_planner [scenario flags] [--time-weight W] [--jobs N|auto]
+//   $ ./capacity_planner [scenario flags] [--time-weight W]
 //
 // The scenario flags are `redcr_cli model`'s (redcr::scenario_flags());
 // --help lists them with their defaults.
@@ -23,9 +23,8 @@ int main(int argc, char** argv) {
 
   ScenarioBuilder builder;
   double time_weight = 0.0;
-  int jobs = 0;
   util::FlagSet flags = scenario_flags(builder);
-  flags.add({{"time-weight", "W", "0.5", time_weight}, exp::jobs_knob(jobs)});
+  flags.add({{"time-weight", "W", "0.5", time_weight}});
   flags.parse_or_exit(argc, argv, "capacity_planner");
   model::CombinedConfig config;
   try {
@@ -42,9 +41,8 @@ int main(int argc, char** argv) {
               config.machine.checkpoint_cost, config.machine.restart_cost);
 
   // The degree sweep is a one-axis campaign — exactly the query shape
-  // redcr::Planner serves: the batch engine memoizes the shared Eq. 9
-  // terms and runs the points on a worker pool, and the default
-  // EvalMode::kExact stays bitwise-identical to scalar predict().
+  // redcr::Planner serves: the default EvalMode::kExact is a predict()
+  // loop, so the answer is bitwise-identical to scalar predict().
   exp::ParamGrid grid;
   grid.axis("r", exp::ParamGrid::range(1.0, 3.0, 0.25));
   const std::vector<exp::Trial> trials = grid.trials();
@@ -54,7 +52,7 @@ int main(int argc, char** argv) {
   request.degrees.reserve(trials.size());
   for (const exp::Trial& trial : trials)
     request.degrees.push_back(trial.at("r"));
-  const PlanResponse plan = planner.plan(request, jobs);
+  const PlanResponse plan = planner.plan(request);
   const std::vector<model::Prediction>& preds = plan.sweep();
 
   exp::ResultSink t("capacity", {{"r"}, {"T_total [h]"}, {"nodes"},

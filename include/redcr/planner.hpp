@@ -90,8 +90,10 @@ class Planner {
   Planner& operator=(const Planner&) = delete;
 
   /// Answers a planning query, consulting the plan cache first. Misses
-  /// evaluate the grid through model::evaluate_batch (options.jobs
-  /// semantics; 0 = hardware concurrency) and populate the cache.
+  /// evaluate the grid through model::evaluate_batch and populate the
+  /// cache. `jobs` is ignored: every batch runs on the calling thread. It
+  /// is kept only because perfbench/ passes it; the next benchmark change
+  /// deletes both sides.
   [[nodiscard]] PlanResponse plan(const PlanRequest& request, int jobs = 0);
 
   /// Monotonic counters since construction. Exported by the serve
@@ -100,9 +102,8 @@ class Planner {
     std::uint64_t plan_cache_hits = 0;
     std::uint64_t plan_cache_misses = 0;
     std::uint64_t plan_cache_evictions = 0;
-    std::uint64_t plans = 0;        ///< plan() calls answered
-    std::uint64_t evaluations = 0;  ///< always 0: plan() answers sweeps
-    std::uint64_t points = 0;       ///< model points computed (not cached)
+    std::uint64_t plans = 0;   ///< plan() calls answered
+    std::uint64_t points = 0;  ///< model points computed (not cached)
   };
   [[nodiscard]] Stats stats() const;
 

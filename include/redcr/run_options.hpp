@@ -16,7 +16,7 @@
 namespace redcr {
 
 struct RunOptions {
-  /// Worker threads for sweeps/batches; <= 0 means all hardware cores.
+  /// Worker threads for sweeps; <= 0 means all hardware cores.
   int jobs = 0;
 
   /// Live "k/N trials (p%) elapsed/ETA" progress line on stderr. Off by

@@ -5,7 +5,7 @@
 # batch_eval, batch_eval_exact, serve_qps, fastforward_sim) against the
 # committed baseline, failing on a >15% regression — and, independent of
 # the baseline, failing any scenario whose speedup_vs_scalar drops to 1.0x
-# or below (a parallel or vectorized path slower than its scalar reference
+# or below (a batch or vectorized path slower than its scalar reference
 # is a regression even if the absolute rate still clears the floor) and
 # failing fastforward_sim when its speedup_vs_event — measured back to back
 # against the event engine at the same host moment — drops below 10x, the

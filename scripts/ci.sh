@@ -193,12 +193,10 @@ trap 'rm -rf "$JOURNAL_DIR"' EXIT
 echo "=== ci.sh: serve-mode replay smoke (ASan/UBSan) ==="
 # Replay the checked-in request log through the serving front-end under
 # the sanitizer build and hold the response bytes to the committed golden:
-# serve responses are a documented determinism contract (independent of
-# --jobs, identical across reruns — see src/apps/serve.hpp). A second pass
-# with --jobs 2 pins the worker-count independence specifically, the
-# respelled log (every number written another JSON way) must read to the
-# same doubles and so give the same bytes, and so must the log with CRLF
-# line ends.
+# serve responses are a documented determinism contract (identical across
+# reruns — see src/apps/serve.hpp). The respelled log (every number written
+# another JSON way) must read to the same doubles and so give the same
+# bytes, and so must the log with CRLF line ends.
 "$FAULT_CLI" serve --replay tests/data/serve_requests.ndjson \
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: serve replay diverged from the golden" >&2; exit 1; }
@@ -208,9 +206,6 @@ echo "=== ci.sh: serve-mode replay smoke (ASan/UBSan) ==="
 sed 's/$/\r/' tests/data/serve_requests.ndjson | "$FAULT_CLI" serve --replay - \
   2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
   || { echo "ci.sh: CRLF serve replay diverged" >&2; exit 1; }
-"$FAULT_CLI" serve --replay tests/data/serve_requests.ndjson --jobs 2 \
-  2>/dev/null | diff -u tests/data/serve_golden.ndjson - \
-  || { echo "ci.sh: serve replay with --jobs 2 diverged" >&2; exit 1; }
 
 echo "=== ci.sh: engine performance guard ==="
 scripts/bench_guard.sh "$BUILD_DIR"

@@ -135,7 +135,7 @@ ServeReport serve_replay(const std::string& text, std::string& responses,
     if (q.id == 0.0) q.id = static_cast<double>(lineno);
     const PlanRequest plan_request = to_plan(q, lineno, options);
     const auto t0 = clock::now();
-    const PlanResponse plan = planner.plan(plan_request, options.jobs);
+    const PlanResponse plan = planner.plan(plan_request);
     latencies_us.push_back(
         std::chrono::duration<double, std::micro>(clock::now() - t0).count());
     append_response(responses, q, plan);

@@ -20,9 +20,9 @@
 // scenarios throw std::runtime_error naming the line.
 //
 // Response lines are deterministic bytes: rendered with the obs/json.hpp
-// number rule, independent of --jobs and identical across reruns (the
-// planner's kFast pipeline is deterministic across worker counts; see
-// model/batch.hpp). tests/data/serve_golden.ndjson pins them.
+// number rule and identical across reruns (both model pipelines are pure
+// per-point functions; see model/batch.hpp).
+// tests/data/serve_golden.ndjson pins them.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,8 @@
 namespace redcr::apps {
 
 struct ServeOptions {
-  /// Worker threads per plan; <= 0 means hardware concurrency.
+  /// Ignored: every batch runs on the calling thread. Kept only because
+  /// perfbench/ assigns it; the next benchmark change deletes both sides.
   int jobs = 0;
   /// LRU plan-cache capacity (entries). Replayed scenarios hit the cache.
   std::size_t cache_capacity = 256;

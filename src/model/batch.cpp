@@ -1,329 +1,11 @@
 #include "model/batch.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
-#include <stop_token>
-#include <functional>
-#include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "model/batch_fast.hpp"
-#include "model/checkpoint.hpp"
 
 namespace redcr::model {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Worker pool
-//
-// The old implementation spawned std::threads per evaluate_batch call and
-// serialized a full cache warm-up pass before any worker started; on top
-// of that the spawn cost (~100us/thread) dwarfed the per-range work for
-// realistic grids, which is how the bench ended up at 0.948x vs scalar.
-// This pool starts hardware_concurrency-1 threads once, lazily, and hands
-// out contiguous part indices through an atomic counter; the caller works
-// too, so `workers() + 1` ranges run concurrently. Parts own disjoint
-// output ranges, so no synchronization (and no false sharing beyond the
-// range boundaries) exists on the result buffer.
-// ---------------------------------------------------------------------------
-class WorkerPool {
- public:
-  static WorkerPool& instance() {
-    static WorkerPool pool;
-    return pool;
-  }
-
-  /// Threads the pool can contribute in addition to the caller.
-  int workers() {
-    ensure_started();
-    return static_cast<int>(threads_.size());
-  }
-
-  /// Runs fn(part) for part in [0, parts). The caller participates; the
-  /// call returns when every part finished. Serializes concurrent
-  /// submitters (evaluate_batch stays thread-safe for Planner). The first
-  /// exception from any part is rethrown on the caller.
-  void run(int parts, const std::function<void(int)>& fn) {
-    ensure_started();
-    if (threads_.empty() || parts <= 1) {
-      for (int part = 0; part < parts; ++part) fn(part);
-      return;
-    }
-    const std::lock_guard<std::mutex> submit_lock(submit_mutex_);
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      task_ = &fn;
-      next_part_.store(0, std::memory_order_relaxed);
-      total_parts_ = parts;
-      done_parts_ = 0;
-      first_error_ = nullptr;
-      ++generation_;
-    }
-    wake_.notify_all();
-    work(&fn, parts);  // caller chews parts alongside the pool
-    // Wait until every part completed AND every pool thread that joined
-    // this task left the part-grab loop — a straggler that registered
-    // right before completion must not touch next_part_ after we reset it
-    // for the next batch.
-    std::unique_lock<std::mutex> lock(mutex_);
-    finished_.wait(lock,
-                   [&] { return done_parts_ == total_parts_ && joined_ == 0; });
-    task_ = nullptr;
-    if (first_error_) std::rethrow_exception(first_error_);
-  }
-
- private:
-  WorkerPool() = default;
-
-  void ensure_started() {
-    std::call_once(started_, [this] {
-      const unsigned hw = std::thread::hardware_concurrency();
-      const unsigned extra = hw > 1 ? hw - 1 : 0;
-      threads_.reserve(extra);
-      for (unsigned i = 0; i < extra; ++i)
-        threads_.emplace_back(
-            [this](std::stop_token stop) { worker_loop(stop); });
-    });
-  }
-
-  void worker_loop(std::stop_token stop) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int)>* task = nullptr;
-      int parts = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        wake_.wait(lock, stop, [&] { return generation_ != seen; });
-        if (stop.stop_requested()) return;
-        seen = generation_;
-        task = task_;
-        parts = total_parts_;
-        // Register while the task is provably still current (task_ is
-        // nulled under this mutex when run() returns).
-        if (task != nullptr) ++joined_;
-      }
-      if (task != nullptr) {
-        work(task, parts);
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (--joined_ == 0 && done_parts_ == total_parts_)
-          finished_.notify_all();
-      }
-    }
-  }
-
-  void work(const std::function<void(int)>* task, int parts) {
-    for (;;) {
-      const int part = next_part_.fetch_add(1, std::memory_order_relaxed);
-      if (part >= parts) return;
-      try {
-        (*task)(part);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (++done_parts_ == total_parts_ && joined_ == 0)
-        finished_.notify_all();
-    }
-  }
-
-  std::once_flag started_;
-  std::mutex submit_mutex_;  // one batch through the pool at a time
-  std::mutex mutex_;
-  std::condition_variable_any wake_;
-  std::condition_variable finished_;
-  const std::function<void(int)>* task_ = nullptr;
-  std::atomic<int> next_part_{0};
-  int total_parts_ = 0;
-  int done_parts_ = 0;
-  int joined_ = 0;  // pool threads currently inside work() for this task
-  std::uint64_t generation_ = 0;
-  std::exception_ptr first_error_;
-  // Declared last so it is destroyed first: each jthread's destructor
-  // requests stop on wake_ and joins while the mutex and condition
-  // variables are still alive.
-  std::vector<std::jthread> threads_;
-};
-
-// ---------------------------------------------------------------------------
-// Exact pipeline
-//
-// Stages each point once (partition, t_Red, pf, the Eq. 9 sphere terms via
-// a per-worker SphereTermCache warmed in place) and finishes it through
-// the very library functions predict() calls. Identical argument values
-// through identical functions yield bitwise-identical Prediction fields,
-// so this path is interchangeable with a scalar predict() loop — while
-// skipping predict()'s duplicate partition/pf recomputation and the
-// global serial warm pass of the old implementation. The cache is
-// per-worker: warming happens inline with no cross-thread sharing, and
-// duplicated unique terms across workers cost microseconds total.
-// ---------------------------------------------------------------------------
-void evaluate_exact(const BatchPoint* pts, Prediction* out, std::size_t n,
-                    bool simplified, SphereTermCache& cache) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const BatchPoint& point = pts[i];
-    const CombinedConfig& config = point.config;
-    assert(point.r >= 1.0);
-    Prediction p;
-    p.r = point.r;
-    const Partition part = partition_processes(config.app.num_procs, point.r);
-    p.total_procs = part.total_procs;
-    p.redundant_time = redundant_time(config.app, point.r);
-
-    // Eqs. 9-10 from the staged partition: the same accumulation order
-    // (floor set first) and early-outs as log_system_reliability().
-    const double pf = node_failure_probability(
-        p.redundant_time, config.machine.node_mtbf, config.failure_model);
-    double log_r = 0.0;
-    if (part.n_floor_set > 0) {
-      const double term = cache.warm(pf, part.floor_degree);
-      log_r = std::isinf(term)
-                  ? -std::numeric_limits<double>::infinity()
-                  : log_r + static_cast<double>(part.n_floor_set) * term;
-    }
-    if (part.n_ceil_set > 0 && !std::isinf(log_r)) {
-      const double term = cache.warm(pf, part.ceil_degree);
-      log_r = std::isinf(term)
-                  ? -std::numeric_limits<double>::infinity()
-                  : log_r + static_cast<double>(part.n_ceil_set) * term;
-    }
-    p.reliability = std::exp(log_r);
-    if (!std::isfinite(log_r)) {
-      p.failure_rate = std::numeric_limits<double>::infinity();
-      p.system_mtbf = 0.0;
-      p.total_time = std::numeric_limits<double>::infinity();
-      out[i] = p;
-      continue;
-    }
-    p.failure_rate = -log_r / p.redundant_time;
-    p.system_mtbf = p.failure_rate == 0.0
-                        ? std::numeric_limits<double>::infinity()
-                        : 1.0 / p.failure_rate;
-
-    const double c = config.machine.checkpoint_cost;
-    if (simplified) {
-      p.interval = young_interval(c, p.system_mtbf);
-      p.lost_work = 0.0;
-      p.restart_rework = config.machine.restart_cost;
-      p.total_time = p.redundant_time + (p.redundant_time / p.interval) * c +
-                     p.redundant_time * p.failure_rate *
-                         config.machine.restart_cost;
-      p.expected_checkpoints = p.redundant_time / p.interval;
-      p.expected_failures = p.redundant_time * p.failure_rate;
-    } else {
-      p.interval = config.fixed_interval ? *config.fixed_interval
-                   : config.use_young_interval
-                       ? young_interval(c, p.system_mtbf)
-                       : daly_interval(c, p.system_mtbf);
-      p.lost_work = expected_lost_work(p.interval, c, p.system_mtbf);
-      p.restart_rework =
-          restart_rework_time(config.machine.restart_cost, p.lost_work,
-                              p.system_mtbf, config.restart_model);
-      p.total_time = total_time(p.redundant_time, c, p.interval,
-                                p.failure_rate, p.restart_rework);
-      p.expected_checkpoints = p.redundant_time / p.interval;
-      p.expected_failures = std::isfinite(p.total_time)
-                                ? p.total_time * p.failure_rate
-                                : std::numeric_limits<double>::infinity();
-    }
-    out[i] = p;
-  }
-}
-
-void evaluate_range(const BatchPoint* pts, Prediction* out, std::size_t n,
-                    const BatchOptions& options) {
-  if (options.mode == EvalMode::kFast) {
-    detail::evaluate_fast(pts, out, n, options.simplified);
-  } else {
-    SphereTermCache cache;
-    evaluate_exact(pts, out, n, options.simplified, cache);
-  }
-}
-
-int resolve_jobs(int jobs) {
-  if (jobs > 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-/// Measures the serial/parallel crossover once: the point count at which
-/// a pool round-trip costs under ~10% of the evaluation work it unlocks.
-std::size_t calibrate_threshold() {
-  WorkerPool& pool = WorkerPool::instance();
-  if (pool.workers() == 0) return std::numeric_limits<std::size_t>::max();
-
-  using clock = std::chrono::steady_clock;
-  // Per-point cost of the exact pipeline on a synthetic config.
-  constexpr std::size_t kProbe = 512;
-  std::vector<BatchPoint> probe(kProbe);
-  for (std::size_t i = 0; i < kProbe; ++i) {
-    probe[i].config.app.num_procs = 1000 + i;
-    probe[i].r = 1.0 + static_cast<double>(i % 200) * 0.01;
-  }
-  std::vector<Prediction> sink(kProbe);
-  SphereTermCache cache;
-  const auto t0 = clock::now();
-  evaluate_exact(probe.data(), sink.data(), kProbe, false, cache);
-  const double per_point =
-      std::max(std::chrono::duration<double>(clock::now() - t0).count() /
-                   static_cast<double>(kProbe),
-               1e-9);
-
-  // Pool dispatch round-trip (median of a few empty runs).
-  const int parts = pool.workers() + 1;
-  double dispatch = std::numeric_limits<double>::max();
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto d0 = clock::now();
-    pool.run(parts, [](int) {});
-    dispatch = std::min(
-        dispatch, std::chrono::duration<double>(clock::now() - d0).count());
-  }
-  const auto threshold =
-      static_cast<std::size_t>(dispatch / (0.10 * per_point));
-  return std::clamp<std::size_t>(threshold, 1024, std::size_t{1} << 22);
-}
-
-// Static slot partitioning: part w owns [w*n/jobs, (w+1)*n/jobs) and
-// writes only its own output slots. Every part stages and finishes
-// independently (own scratch, own sphere cache), and both pipelines are
-// pure per-point functions, so results are bitwise independent of the
-// worker count and of which thread ran which part. Serial below the
-// calibrated crossover.
-template <class Fn>
-void for_ranges(std::size_t n, int jobs_option, Fn&& fn) {
-  const int jobs = std::clamp<int>(
-      resolve_jobs(jobs_option), 1,
-      static_cast<int>(std::min<std::size_t>(
-          n, static_cast<std::size_t>(std::numeric_limits<int>::max()))));
-  if (jobs == 1 || n < parallel_threshold()) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  WorkerPool::instance().run(jobs, [&](int w) {
-    const std::size_t begin =
-        n * static_cast<std::size_t>(w) / static_cast<std::size_t>(jobs);
-    const std::size_t end =
-        n * static_cast<std::size_t>(w + 1) / static_cast<std::size_t>(jobs);
-    if (end > begin) fn(begin, end);
-  });
-}
-
-}  // namespace
-
-std::size_t parallel_threshold() {
-  static const std::size_t threshold = calibrate_threshold();
-  return threshold;
-}
 
 void evaluate_batch_into(std::span<const BatchPoint> points,
                          std::span<Prediction> out,
@@ -332,11 +14,16 @@ void evaluate_batch_into(std::span<const BatchPoint> points,
     throw std::invalid_argument(
         "evaluate_batch_into: output span size must equal point count");
   if (points.empty()) return;
-  for_ranges(points.size(), options.jobs,
-             [&](std::size_t begin, std::size_t end) {
-               evaluate_range(points.data() + begin, out.data() + begin,
-                              end - begin, options);
-             });
+  if (options.mode == EvalMode::kFast) {
+    detail::evaluate_fast(points.data(), out.data(), points.size(),
+                          options.simplified);
+    return;
+  }
+  // kExact: a predict() loop sharing one sphere-term cache.
+  const auto exact = options.simplified ? &predict_simplified : &predict;
+  SphereTermCache cache;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    out[i] = exact(points[i].config, points[i].r, &cache);
 }
 
 void evaluate_batch_into(const CombinedConfig& config,
@@ -350,18 +37,14 @@ void evaluate_batch_into(const CombinedConfig& config,
   if (options.mode == EvalMode::kFast) {
     // Dedicated sweep staging: the shared config broadcasts instead of
     // being replicated into (and re-read from) an AoS point array.
-    for_ranges(degrees.size(), options.jobs,
-               [&](std::size_t begin, std::size_t end) {
-                 detail::evaluate_fast_grid(config, degrees.data() + begin,
-                                            out.data() + begin, end - begin,
-                                            options.simplified);
-               });
+    detail::evaluate_fast_grid(config, degrees.data(), out.data(),
+                               degrees.size(), options.simplified);
     return;
   }
-  std::vector<BatchPoint> points;
-  points.reserve(degrees.size());
-  for (const double r : degrees) points.push_back(BatchPoint{config, r});
-  evaluate_batch_into(points, out, options);
+  const auto exact = options.simplified ? &predict_simplified : &predict;
+  SphereTermCache cache;
+  for (std::size_t i = 0; i < degrees.size(); ++i)
+    out[i] = exact(config, degrees[i], &cache);
 }
 
 std::vector<Prediction> evaluate_batch(std::span<const BatchPoint> points,

@@ -5,16 +5,13 @@
 // r × MTBF — and the serving front-end replays the same evaluation
 // millions of times. Point evaluations are independent and dominated by
 // the Eq. 9 sphere-reliability pow/log pair plus the Eq. 12-15 exp/expm1
-// chain. evaluate_batch() stages the points into structure-of-arrays form
-// tile by tile and finishes them with one of two pipelines:
+// chain. evaluate_batch() finishes the points with one of two pipelines:
 //
-//   EvalMode::kExact (default) — per point, the staged inputs are fed to
-//     the exact same library functions predict() calls (daly_interval,
-//     expected_lost_work, ... from checkpoint.hpp), with the Eq. 9 sphere
-//     terms memoized in a per-worker SphereTermCache warmed during
-//     staging. Identical inputs through identical functions: results are
-//     bitwise identical to a scalar predict() loop, for any worker count
-//     and any batch order. Golden exports use this mode.
+//   EvalMode::kExact (default) — a predict() (or predict_simplified())
+//     loop: bitwise identical to scalar predict() by construction. The
+//     loop shares one SphereTermCache per call, warmed on a miss, so
+//     grids that repeat a (pf, degree) sphere term — a procs axis — pay
+//     its pow/log once. Golden exports use this mode.
 //
 //   EvalMode::kFast — the transcendental chain is evaluated through the
 //     vectorized vk:: kernels (kernels.hpp) over contiguous arrays, with
@@ -25,15 +22,12 @@
 //     and the model itself diverges (away from the pole the grids agree
 //     to ~1e-11; points where both modes exceed 1e15 in magnitude or both
 //     go nonfinite count as agreement — test_planner.cpp and bench_engine
-//     pin the bound). Like kExact it is deterministic across hosts and
-//     worker counts; it is simply not bit-identical to libm-based
-//     predict(). The serving/bench hot path.
+//     pin the bound). Like kExact it is deterministic across hosts; it is
+//     simply not bit-identical to libm-based predict(). The serving/bench
+//     hot path.
 //
-// Large batches split across a lazily started persistent worker pool
-// (hardware_concurrency - 1 threads); the serial/parallel crossover is
-// measured once at first use (see parallel_threshold()). Each worker owns
-// its output slot range and its own caches, so the merge is the identity
-// and results never depend on scheduling.
+// Every batch runs on the calling thread; cross-cell parallelism belongs
+// to exp::SweepRunner.
 //
 // redcr::Planner (include/redcr/planner.hpp) adds a plan cache and counters
 // on top for repeated scenarios; one-off point sets call this engine
@@ -61,7 +55,8 @@ enum class EvalMode {
 };
 
 struct BatchOptions {
-  /// Worker threads; <= 0 means std::thread::hardware_concurrency().
+  /// Ignored: every batch runs on the calling thread. Kept only because
+  /// perfbench/ assigns it; the next benchmark change deletes both sides.
   int jobs = 0;
   /// Evaluate predict_simplified() (Section 6) instead of predict().
   bool simplified = false;
@@ -97,11 +92,5 @@ void evaluate_batch_into(const CombinedConfig& config,
                          std::span<const double> degrees,
                          std::span<Prediction> out,
                          const BatchOptions& options = {});
-
-/// The self-calibrated serial/parallel crossover: batches smaller than
-/// this stay on the calling thread. Measured once at first use by timing
-/// a pool dispatch against per-point evaluation cost; SIZE_MAX on hosts
-/// with a single hardware thread (parallelism can never win there).
-[[nodiscard]] std::size_t parallel_threshold();
 
 }  // namespace redcr::model

@@ -8,27 +8,19 @@
 
 namespace redcr::model {
 
-namespace {
-
-double choose_interval(const CombinedConfig& config, double system_mtbf) {
-  if (config.fixed_interval) return *config.fixed_interval;
-  return config.use_young_interval
-             ? young_interval(config.machine.checkpoint_cost, system_mtbf)
-             : daly_interval(config.machine.checkpoint_cost, system_mtbf);
-}
-
-}  // namespace
-
-Prediction predict(const CombinedConfig& config, double r,
-                   const SphereTermCache* cache) {
+Prediction detail::predict_over(const CombinedConfig& config, double r,
+                                double t_red, bool simplified,
+                                SphereTermCache* cache) {
   assert(r >= 1.0);
   Prediction p;
   p.r = r;
-  p.total_procs = partition_processes(config.app.num_procs, r).total_procs;
-  p.redundant_time = redundant_time(config.app, r);
-
-  const SystemFailure sf = system_failure(config.app, config.machine, r,
-                                          config.failure_model, cache);
+  p.redundant_time = t_red;
+  const Partition partition = partition_processes(config.app.num_procs, r);
+  p.total_procs = partition.total_procs;
+  const double pf = node_failure_probability(t_red, config.machine.node_mtbf,
+                                             config.failure_model);
+  const SystemFailure sf =
+      system_failure(log_partition_reliability(partition, pf, cache), t_red);
   p.reliability = sf.reliability;
   p.failure_rate = sf.failure_rate;
   p.system_mtbf = sf.mtbf;
@@ -39,51 +31,44 @@ Prediction predict(const CombinedConfig& config, double r,
     return p;
   }
 
-  p.interval = choose_interval(config, sf.mtbf);
-  p.lost_work =
-      expected_lost_work(p.interval, config.machine.checkpoint_cost, sf.mtbf);
+  const double c = config.machine.checkpoint_cost;
+  if (simplified) {
+    p.interval = young_interval(c, sf.mtbf);
+    p.lost_work = 0.0;  // the simplified model drops rework
+    p.restart_rework = config.machine.restart_cost;
+    // T = t_Red + (t_Red/δ)·c + t_Red·λ·R  (Section 6, consistent form).
+    p.total_time = t_red + (t_red / p.interval) * c +
+                   t_red * sf.failure_rate * config.machine.restart_cost;
+    p.expected_checkpoints = t_red / p.interval;
+    p.expected_failures = t_red * sf.failure_rate;
+    return p;
+  }
+  p.interval = config.fixed_interval ? *config.fixed_interval
+               : config.use_young_interval ? young_interval(c, sf.mtbf)
+                                           : daly_interval(c, sf.mtbf);
+  p.lost_work = expected_lost_work(p.interval, c, sf.mtbf);
   p.restart_rework = restart_rework_time(config.machine.restart_cost,
                                          p.lost_work, sf.mtbf,
                                          config.restart_model);
-  p.total_time = total_time(p.redundant_time, config.machine.checkpoint_cost,
-                            p.interval, sf.failure_rate, p.restart_rework);
-  p.expected_checkpoints = p.redundant_time / p.interval;
+  p.total_time =
+      total_time(t_red, c, p.interval, sf.failure_rate, p.restart_rework);
+  p.expected_checkpoints = t_red / p.interval;
   p.expected_failures = std::isfinite(p.total_time)
                             ? p.total_time * sf.failure_rate
                             : std::numeric_limits<double>::infinity();
   return p;
 }
 
+Prediction predict(const CombinedConfig& config, double r,
+                   SphereTermCache* cache) {
+  return detail::predict_over(config, r, redundant_time(config.app, r),
+                              /*simplified=*/false, cache);
+}
+
 Prediction predict_simplified(const CombinedConfig& config, double r,
-                              const SphereTermCache* cache) {
-  assert(r >= 1.0);
-  Prediction p;
-  p.r = r;
-  p.total_procs = partition_processes(config.app.num_procs, r).total_procs;
-  p.redundant_time = redundant_time(config.app, r);
-
-  const SystemFailure sf = system_failure(config.app, config.machine, r,
-                                          config.failure_model, cache);
-  p.reliability = sf.reliability;
-  p.failure_rate = sf.failure_rate;
-  p.system_mtbf = sf.mtbf;
-  if (!std::isfinite(sf.failure_rate)) {
-    p.total_time = std::numeric_limits<double>::infinity();
-    return p;
-  }
-
-  const double c = config.machine.checkpoint_cost;
-  p.interval = young_interval(c, sf.mtbf);
-  p.lost_work = 0.0;      // the simplified model drops rework
-  p.restart_rework = config.machine.restart_cost;
-  // T = t_Red + (t_Red/δ)·c + t_Red·λ·R  (Section 6, consistent form).
-  p.total_time = p.redundant_time +
-                 (p.redundant_time / p.interval) * c +
-                 p.redundant_time * sf.failure_rate *
-                     config.machine.restart_cost;
-  p.expected_checkpoints = p.redundant_time / p.interval;
-  p.expected_failures = p.redundant_time * sf.failure_rate;
-  return p;
+                              SphereTermCache* cache) {
+  return detail::predict_over(config, r, redundant_time(config.app, r),
+                              /*simplified=*/true, cache);
 }
 
 std::vector<Prediction> sweep_redundancy(const CombinedConfig& config,

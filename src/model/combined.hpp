@@ -45,10 +45,10 @@ struct Prediction {
 };
 
 /// Evaluates the full combined model at redundancy degree r. `cache`
-/// (optional) memoizes the Eq. 9 sphere terms — the plumbing behind
-/// evaluate_batch(); results are bitwise-identical with or without it.
+/// (optional) memoizes the Eq. 9 sphere terms across calls — the kExact
+/// batch loop shares one; results are bitwise-identical with or without it.
 [[nodiscard]] Prediction predict(const CombinedConfig& config, double r,
-                                 const SphereTermCache* cache = nullptr);
+                                 SphereTermCache* cache = nullptr);
 
 /// Section 6's simplified model, matched to the experimental setup (failures
 /// are not injected during checkpoint or restart phases):
@@ -58,8 +58,19 @@ struct Prediction {
 /// which matches the paper's own Fig. 11 magnitudes.)
 [[nodiscard]] Prediction predict_simplified(const CombinedConfig& config,
                                             double r,
-                                            const SphereTermCache* cache =
-                                                nullptr);
+                                            SphereTermCache* cache = nullptr);
+
+namespace detail {
+
+/// The one Eq. 9-15 chain behind predict(), predict_simplified() and
+/// predict_same_nodes(): Eqs. 5-9 for N processes at degree r over the run
+/// time `t_red`, Eq. 10, then Eqs. 12-15 (or Section 6's simplified
+/// finish). total_procs is Eq. 8's count.
+[[nodiscard]] Prediction predict_over(const CombinedConfig& config, double r,
+                                      double t_red, bool simplified,
+                                      SphereTermCache* cache);
+
+}  // namespace detail
 
 /// Evaluates `predict` over r in [r_begin, r_end] with the given step.
 [[nodiscard]] std::vector<Prediction> sweep_redundancy(

@@ -1,6 +1,5 @@
 #include "model/extensions.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,44 +11,12 @@
 namespace redcr::model {
 
 Prediction predict_same_nodes(const CombinedConfig& config, double r) {
-  assert(r >= 1.0);
-  Prediction p;
-  p.r = r;
-  // Same nodes: machine cost stays N regardless of the degree.
-  p.total_procs = config.app.num_procs;
   // Everything dilates: replicas time-share each node's compute *and* the
   // per-node NIC carries r-fold traffic.
-  p.redundant_time = config.app.base_time * r;
-
-  const double log_rel = log_system_reliability(
-      config.app.num_procs, r, p.redundant_time, config.machine.node_mtbf,
-      config.failure_model);
-  p.reliability = std::exp(log_rel);
-  if (!std::isfinite(log_rel)) {
-    p.failure_rate = std::numeric_limits<double>::infinity();
-    p.system_mtbf = 0.0;
-    p.total_time = std::numeric_limits<double>::infinity();
-    return p;
-  }
-  p.failure_rate = -log_rel / p.redundant_time;
-  p.system_mtbf = p.failure_rate == 0.0
-                      ? std::numeric_limits<double>::infinity()
-                      : 1.0 / p.failure_rate;
-  p.interval = config.fixed_interval.value_or(
-      config.use_young_interval
-          ? young_interval(config.machine.checkpoint_cost, p.system_mtbf)
-          : daly_interval(config.machine.checkpoint_cost, p.system_mtbf));
-  p.lost_work = expected_lost_work(p.interval, config.machine.checkpoint_cost,
-                                   p.system_mtbf);
-  p.restart_rework =
-      restart_rework_time(config.machine.restart_cost, p.lost_work,
-                          p.system_mtbf, config.restart_model);
-  p.total_time = total_time(p.redundant_time, config.machine.checkpoint_cost,
-                            p.interval, p.failure_rate, p.restart_rework);
-  p.expected_checkpoints = p.redundant_time / p.interval;
-  p.expected_failures = std::isfinite(p.total_time)
-                            ? p.total_time * p.failure_rate
-                            : std::numeric_limits<double>::infinity();
+  Prediction p = detail::predict_over(config, r, config.app.base_time * r,
+                                      /*simplified=*/false, nullptr);
+  // Same nodes: machine cost stays N regardless of the degree.
+  p.total_procs = config.app.num_procs;
   return p;
 }
 

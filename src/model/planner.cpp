@@ -151,7 +151,7 @@ bool Planner::KeyEqual::operator()(const RequestKey& a,
   return same;
 }
 
-PlanResponse Planner::plan(const PlanRequest& request, int jobs) {
+PlanResponse Planner::plan(const PlanRequest& request, int /*jobs*/) {
   const RequestKey probe{&request, request_hash(request)};
   {
     std::lock_guard lock(mutex_);
@@ -170,7 +170,6 @@ PlanResponse Planner::plan(const PlanRequest& request, int jobs) {
   // grid is expanded here, once; the key's words are written straight
   // into the entry.
   model::BatchOptions options;
-  options.jobs = jobs;
   options.mode = request.mode;
   options.simplified = request.simplified;
   std::vector<double> range;

@@ -67,40 +67,33 @@ double SphereTermCache::warm(double pf, unsigned degree) {
   return terms.value[degree];
 }
 
-double SphereTermCache::lookup(double pf, unsigned degree) const noexcept {
-  if (degree <= kMaxDegree) {
-    const Terms* terms = terms_.find(std::bit_cast<std::uint64_t>(pf));
-    if (terms != nullptr &&
-        (terms->computed_mask & (std::uint32_t{1} << degree)) != 0)
-      return terms->value[degree];
-  }
-  return log_sphere_survival(pf, degree);
-}
-
-double log_system_reliability(std::size_t n, double r, double t,
-                              double node_mtbf, NodeFailureModel model,
-                              const SphereTermCache* cache) {
-  const Partition p = partition_processes(n, r);
-  const double pf = node_failure_probability(t, node_mtbf, model);
+double log_partition_reliability(const Partition& partition, double pf,
+                                 SphereTermCache* cache) {
   const auto term = [&](unsigned degree) {
-    return cache != nullptr ? cache->lookup(pf, degree)
+    return cache != nullptr ? cache->warm(pf, degree)
                             : log_sphere_survival(pf, degree);
   };
   // Eq. 9 across spheres: all N_⌊r⌋ + N_⌈r⌉ spheres must survive.
   double log_r = 0.0;
-  if (p.n_floor_set > 0) {
-    const double sphere_term = term(p.floor_degree);
+  if (partition.n_floor_set > 0) {
+    const double sphere_term = term(partition.floor_degree);
     if (std::isinf(sphere_term))
       return -std::numeric_limits<double>::infinity();
-    log_r += static_cast<double>(p.n_floor_set) * sphere_term;
+    log_r += static_cast<double>(partition.n_floor_set) * sphere_term;
   }
-  if (p.n_ceil_set > 0) {
-    const double sphere_term = term(p.ceil_degree);
+  if (partition.n_ceil_set > 0) {
+    const double sphere_term = term(partition.ceil_degree);
     if (std::isinf(sphere_term))
       return -std::numeric_limits<double>::infinity();
-    log_r += static_cast<double>(p.n_ceil_set) * sphere_term;
+    log_r += static_cast<double>(partition.n_ceil_set) * sphere_term;
   }
   return log_r;
+}
+
+double log_system_reliability(std::size_t n, double r, double t,
+                              double node_mtbf, NodeFailureModel model) {
+  return log_partition_reliability(
+      partition_processes(n, r), node_failure_probability(t, node_mtbf, model));
 }
 
 double system_reliability(std::size_t n, double r, double t, double node_mtbf,
@@ -108,13 +101,8 @@ double system_reliability(std::size_t n, double r, double t, double node_mtbf,
   return std::exp(log_system_reliability(n, r, t, node_mtbf, model));
 }
 
-SystemFailure system_failure(const AppParams& app, const MachineParams& machine,
-                             double r, NodeFailureModel model,
-                             const SphereTermCache* cache) {
+SystemFailure system_failure(double log_r, double t_red) noexcept {
   SystemFailure sf;
-  const double t_red = redundant_time(app, r);
-  const double log_r = log_system_reliability(app.num_procs, r, t_red,
-                                              machine.node_mtbf, model, cache);
   sf.reliability = std::exp(log_r);  // may underflow to 0; λ does not care
   if (!std::isfinite(log_r)) {
     // Certain failure within t_Red: rate is effectively unbounded.
@@ -122,12 +110,19 @@ SystemFailure system_failure(const AppParams& app, const MachineParams& machine,
     sf.mtbf = 0.0;
     return sf;
   }
-  // Eq. 10, computed in log space to survive R_sys underflow.
   sf.failure_rate = -log_r / t_red;
   sf.mtbf = sf.failure_rate == 0.0
                 ? std::numeric_limits<double>::infinity()
                 : 1.0 / sf.failure_rate;
   return sf;
+}
+
+SystemFailure system_failure(const AppParams& app, const MachineParams& machine,
+                             double r, NodeFailureModel model) {
+  const double t_red = redundant_time(app, r);
+  return system_failure(log_system_reliability(app.num_procs, r, t_red,
+                                               machine.node_mtbf, model),
+                        t_red);
 }
 
 double birthday_collision_probability(double n) noexcept {

@@ -51,23 +51,14 @@ struct Partition {
 /// pow/log pair that dominates every sweep point. Keyed by the exact bit
 /// pattern of pf (so distinct inputs never alias) with one slot per degree
 /// up to kMaxDegree; rarer higher degrees fall through to direct
-/// computation. Warm the cache serially (warm()), then share it read-only
-/// across worker threads (lookup() is const and never mutates).
+/// computation. One batch owns one cache; it is not thread-safe.
 class SphereTermCache {
  public:
   static constexpr unsigned kMaxDegree = 16;
 
-  /// Computes and memoizes the term for (pf, degree). Not thread-safe.
+  /// The term for (pf, degree), computed on the first request and
+  /// memoized: bitwise log_sphere_survival(pf, degree) either way.
   double warm(double pf, unsigned degree);
-
-  /// Read-only lookup; recomputes directly on a miss, so a cold cache is a
-  /// correctness no-op. Safe from several threads once warming stopped.
-  [[nodiscard]] double lookup(double pf, unsigned degree) const noexcept;
-
-  /// Distinct pf values seen (grid diagnostics).
-  [[nodiscard]] std::size_t distinct_pf() const noexcept {
-    return terms_.size();
-  }
 
  private:
   struct Terms {
@@ -77,15 +68,20 @@ class SphereTermCache {
   util::FlatMap64<Terms> terms_;  // key: bit pattern of pf
 };
 
-/// ln of Eq. 9. R_sys underflows double precision already for modest N·t/θ
-/// (e.g. 10^5 nodes over 700 h is e^-1612), but the failure rate only needs
-/// the logarithm, so Eq. 10 is computed from this. Returns -infinity when
-/// some sphere fails with certainty within t. With a non-null `cache` the
-/// sphere terms are looked up instead of recomputed (bitwise-identical
-/// results either way).
-[[nodiscard]] double log_system_reliability(
-    std::size_t n, double r, double t, double node_mtbf,
-    NodeFailureModel model, const SphereTermCache* cache = nullptr);
+/// ln of Eq. 9 for a staged partition and per-node failure probability:
+/// the sphere terms summed floor set first. R_sys underflows double
+/// precision already for modest N·t/θ (e.g. 10^5 nodes over 700 h is
+/// e^-1612), but the failure rate only needs the logarithm, so Eq. 10 is
+/// computed from this. Returns -infinity when some sphere fails with
+/// certainty. With a non-null `cache` the sphere terms are memoized
+/// (bitwise-identical results either way).
+[[nodiscard]] double log_partition_reliability(
+    const Partition& partition, double pf, SphereTermCache* cache = nullptr);
+
+/// ln of Eq. 9 for n virtual processes at degree r over the interval t.
+[[nodiscard]] double log_system_reliability(std::size_t n, double r, double t,
+                                            double node_mtbf,
+                                            NodeFailureModel model);
 
 /// Failure characterization of the whole (partially) redundant system over
 /// the redundancy-dilated run time (Eq. 10).
@@ -95,13 +91,15 @@ struct SystemFailure {
   double mtbf = 0.0;           ///< Θ_sys = 1/λ_sys (infinity if λ_sys == 0)
 };
 
+/// Eq. 10 from ln R_sys over the run time t_red, in log space to survive
+/// R_sys underflow. A certain failure (log_r = -infinity) has an unbounded
+/// rate and Θ_sys = 0.
+[[nodiscard]] SystemFailure system_failure(double log_r, double t_red) noexcept;
+
 /// Full redundancy-side pipeline: Eq. 1 then Eqs. 9-10 evaluated over t_Red.
-/// `cache` (optional) memoizes the Eq. 9 sphere terms across calls.
 [[nodiscard]] SystemFailure system_failure(const AppParams& app,
                                            const MachineParams& machine,
-                                           double r, NodeFailureModel model,
-                                           const SphereTermCache* cache =
-                                               nullptr);
+                                           double r, NodeFailureModel model);
 
 /// Section 4.3's "birthday problem" approximation as printed in the paper:
 /// p(n) ≈ 1 - ((n-2)/n)^{n(n-1)/2}. (Note: as printed this tends to 1, not

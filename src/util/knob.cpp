@@ -5,18 +5,11 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/text.hpp"
+
 namespace redcr::util {
 
 namespace {
-
-/// The shorter of %.15g and %.17g that reads back as `x`.
-std::string shortest(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.15g", x);
-  if (std::strtod(buf, nullptr) != x)
-    std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
-}
 
 /// The position of `text` in the '|'-separated `words`, or -1.
 int word_index(std::string_view words, std::string_view text) {

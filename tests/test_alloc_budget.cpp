@@ -115,16 +115,14 @@ TEST(AllocBudget, ServeReplayAllocatesOnlyForMisses) {
   std::ifstream in(std::string(REDCR_TEST_DATA_DIR) + "/serve_requests.ndjson");
   std::stringstream log;
   log << in.rdbuf();
-  apps::ServeOptions options;
-  options.jobs = 1;
   std::string responses;
-  (void)apps::serve_replay(log.str(), responses, options);  // warm-up
+  (void)apps::serve_replay(log.str(), responses);  // warm-up
   const std::size_t bytes = responses.size();
   responses.clear();  // keeps its capacity
 
   const std::uint64_t before = g_operator_new_calls.load();
   const apps::ServeReport report =
-      apps::serve_replay(log.str(), responses, options);
+      apps::serve_replay(log.str(), responses);
   const std::uint64_t calls = g_operator_new_calls.load() - before;
 
   ASSERT_EQ(responses.size(), bytes);

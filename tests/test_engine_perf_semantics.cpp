@@ -12,7 +12,7 @@
 //     and a script that promotes followers whose stored slot predates a
 //     rebuild;
 //   * model::evaluate_batch compared bitwise against the scalar predict()
-//     loop over the paper's Table 4 grid, serial and threaded;
+//     loop over the paper's Table 4 grid;
 //   * unit tests for the supporting containers (util::FlatMap64,
 //     net::Arena).
 #include <gtest/gtest.h>
@@ -515,37 +515,16 @@ void expect_bitwise_equal(const model::Prediction& a,
 
 TEST(BatchEvaluator, BitwiseEqualToScalarPredictOnTable4Grid) {
   const std::vector<model::BatchPoint> points = table4_grid(0.25);
-  model::BatchOptions serial;
-  serial.jobs = 1;
-  const std::vector<model::Prediction> batch =
-      model::evaluate_batch(points, serial);
+  const std::vector<model::Prediction> batch = model::evaluate_batch(points);
   ASSERT_EQ(batch.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i)
     expect_bitwise_equal(batch[i], model::predict(points[i].config,
                                                   points[i].r));
 }
 
-TEST(BatchEvaluator, ThreadedMatchesSerialOnDenseGrid) {
-  // Dense grid so the worker pool actually engages (the evaluator refuses
-  // to spawn threads for tiny batches).
-  const std::vector<model::BatchPoint> points = table4_grid(0.002);
-  ASSERT_GE(points.size(), 2048u);
-  model::BatchOptions serial;
-  serial.jobs = 1;
-  model::BatchOptions threaded;
-  threaded.jobs = 4;
-  const std::vector<model::Prediction> a =
-      model::evaluate_batch(points, serial);
-  const std::vector<model::Prediction> b =
-      model::evaluate_batch(points, threaded);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) expect_bitwise_equal(a[i], b[i]);
-}
-
 TEST(BatchEvaluator, SimplifiedModeMatchesScalar) {
   const std::vector<model::BatchPoint> points = table4_grid(0.25);
   model::BatchOptions options;
-  options.jobs = 1;
   options.simplified = true;
   const std::vector<model::Prediction> batch =
       model::evaluate_batch(points, options);
@@ -570,16 +549,21 @@ TEST(BatchEvaluator, EmptyBatchReturnsEmpty) {
 }
 
 TEST(SphereTermCache, WarmThenLookupIsBitwiseStable) {
+  // The first request computes a term, a repeat reads it back: both are
+  // bitwise log_sphere_survival, for cached degrees and for those above
+  // kMaxDegree, which are computed directly every time.
   model::SphereTermCache cache;
-  const double pf = 0.0123456789;
-  const double warmed = cache.warm(pf, 2);
-  EXPECT_EQ(warmed, model::log_sphere_survival(pf, 2));
-  EXPECT_EQ(cache.lookup(pf, 2), warmed);
-  // Uncached (pf, degree) pairs fall through to the direct computation.
-  EXPECT_EQ(cache.lookup(0.5, 3), model::log_sphere_survival(0.5, 3));
-  // Degrees beyond the cache ceiling are computed directly, not cached.
-  EXPECT_EQ(cache.warm(pf, 60), model::log_sphere_survival(pf, 60));
-  EXPECT_EQ(cache.distinct_pf(), 1u);
+  for (const double pf : {0.0123456789, 0.5, 1.0, 0.0})
+    for (const unsigned degree : {1u, 2u, 3u, 16u, 17u, 60u})
+      for (int pass = 0; pass < 2; ++pass) {
+        const double want = model::log_sphere_survival(pf, degree);
+        const double got = cache.warm(pf, degree);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "pf " << pf << " degree " << degree << " pass " << pass;
+      }
+  // A nearby pf keys its own slot: it never reads another value's term.
+  const double near = std::nextafter(0.5, 1.0);
+  EXPECT_EQ(cache.warm(near, 2), model::log_sphere_survival(near, 2));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 // Unit and property tests for the analytic model (paper Section 4).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "model/batch.hpp"
 #include "model/breakdown.hpp"
 #include "model/checkpoint.hpp"
 #include "model/combined.hpp"
+#include "model/extensions.hpp"
 #include "model/redundancy.hpp"
 #include "util/units.hpp"
 
@@ -440,6 +445,111 @@ TEST(Breakdown, RedundancyRestoresUsefulWork) {
   const TimeBreakdown dual = compute_breakdown(cfg, 2.0);
   EXPECT_GT(dual.work, plain.work);
   EXPECT_LT(dual.restart + dual.recompute, plain.restart + plain.recompute);
+}
+
+// --- Pinned digest of every model entry -------------------------------------
+//
+// FNV-1a over the bit pattern of every Prediction field, one digest per
+// entry, on the Table-4 calibration grown to N ∈ {1, 128, 5e4, 1e6}, both
+// failure and restart models and Daly, Young and fixed δ, plus two edge
+// points. The constants were taken from the code before the entries shared
+// one Eq. 9-15 chain, so any change to any bit any entry returns fails here.
+
+class Digest {
+ public:
+  void add(const Prediction& p) {
+    for (const double field :
+         {p.r, p.redundant_time, p.reliability, p.failure_rate, p.system_mtbf,
+          p.interval, p.lost_work, p.restart_rework, p.total_time,
+          p.expected_checkpoints, p.expected_failures})
+      mix(std::bit_cast<std::uint64_t>(field));
+    mix(p.total_procs);
+  }
+  void add(const std::vector<Prediction>& sweep) {
+    for (const Prediction& p : sweep) add(p);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (word >> (8 * byte)) & 0xffu;
+      h_ *= 1099511628211ull;  // FNV-1a 64-bit prime
+    }
+  }
+  std::uint64_t h_ = 14695981039346656037ull;  // FNV-1a offset basis
+};
+
+std::vector<CombinedConfig> digest_configs() {
+  std::vector<CombinedConfig> configs;
+  for (const std::size_t n : {1u, 128u, 50000u, 1000000u})
+    for (const double mtbf_hours : {6.0, 12.0, 18.0, 24.0, 30.0})
+      for (const auto failure : {NodeFailureModel::kLinearized,
+                                 NodeFailureModel::kExactExponential})
+        for (const auto restart :
+             {RestartModel::kAsPublished, RestartModel::kConditional})
+          for (int interval = 0; interval < 3; ++interval) {
+            CombinedConfig cfg;
+            cfg.app = cg_app();
+            cfg.app.num_procs = n;
+            cfg.machine = cluster();
+            cfg.machine.node_mtbf = hours(mtbf_hours);
+            cfg.failure_model = failure;
+            cfg.restart_model = restart;
+            cfg.use_young_interval = interval == 1;
+            if (interval == 2) cfg.fixed_interval = minutes(30);
+            configs.push_back(cfg);
+          }
+  // At r = 1 this restart cost puts Eq. 14's denominator 1 - λ·t_RR one
+  // ulp-scale step above 0 (the pole of Eq. 13's repair time): T_total is
+  // finite, about 4.9e19 s.
+  CombinedConfig pole;
+  pole.app = cg_app();
+  pole.machine = cluster();
+  pole.machine.restart_cost = 0x1.74099f6077935p+12;
+  configs.push_back(pole);
+  // t_Red ≥ θ: the linearized p_f clamps to 1, so every sphere fails with
+  // certainty and Eq. 9 takes its -inf early-out.
+  CombinedConfig certain;
+  certain.app = cg_app();
+  certain.app.base_time = hours(10);
+  certain.machine = cluster();
+  certain.machine.node_mtbf = hours(1);
+  configs.push_back(certain);
+  return configs;
+}
+
+TEST(ModelDigest, EveryEntryReturnsThePinnedBits) {
+  std::vector<double> degrees;
+  for (int k = 0; k <= 8; ++k) degrees.push_back(1.0 + 0.25 * k);
+  const std::vector<CombinedConfig> configs = digest_configs();
+
+  Digest full, simplified, same_nodes;
+  std::vector<BatchPoint> points;
+  for (const CombinedConfig& cfg : configs)
+    for (const double r : degrees) {
+      full.add(predict(cfg, r));
+      simplified.add(predict_simplified(cfg, r));
+      same_nodes.add(predict_same_nodes(cfg, r));
+      points.push_back({cfg, r});
+    }
+  EXPECT_EQ(full.value(), 0x612dda90b13b52c7ull);
+  EXPECT_EQ(simplified.value(), 0x846491dd184fcd6dull);
+  EXPECT_EQ(same_nodes.value(), 0x195942b81dacfd33ull);
+
+  // kExact's span and grid entries return predict()'s bits and
+  // predict_simplified()'s bits.
+  for (const bool simple : {false, true}) {
+    BatchOptions options;
+    options.simplified = simple;
+    const std::uint64_t want = simple ? simplified.value() : full.value();
+    Digest span, grid;
+    span.add(evaluate_batch(points, options));
+    for (const CombinedConfig& cfg : configs)
+      grid.add(evaluate_batch(cfg, degrees, options));
+    EXPECT_EQ(span.value(), want) << "simplified=" << simple;
+    EXPECT_EQ(grid.value(), want) << "simplified=" << simple;
+  }
 }
 
 }  // namespace

@@ -99,19 +99,15 @@ std::string read_file(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 TEST(EvalMode, ExactIsBitwiseIdenticalToScalarForAnyJobCount) {
+  // Every batch runs on the calling thread, so no job count can reach it.
   const std::vector<model::BatchPoint> points = table4_grid();
-  for (const int jobs : {1, 4}) {
-    model::BatchOptions options;
-    options.jobs = jobs;
-    const std::vector<model::Prediction> batch =
-        model::evaluate_batch(points, options);
-    ASSERT_EQ(batch.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const model::Prediction scalar =
-          model::predict(points[i].config, points[i].r);
-      ASSERT_TRUE(bitwise_equal(batch[i], scalar))
-          << "jobs=" << jobs << " point " << i << " r=" << points[i].r;
-    }
+  const std::vector<model::Prediction> batch = model::evaluate_batch(points);
+  ASSERT_EQ(batch.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const model::Prediction scalar =
+        model::predict(points[i].config, points[i].r);
+    ASSERT_TRUE(bitwise_equal(batch[i], scalar))
+        << "point " << i << " r=" << points[i].r;
   }
 }
 
@@ -131,19 +127,6 @@ TEST(EvalMode, FastStaysWithinDocumentedBound) {
   EXPECT_LE(worst, 5e-4);
 }
 
-TEST(EvalMode, FastIsDeterministicAcrossJobCounts) {
-  const std::vector<model::BatchPoint> points = table4_grid();
-  model::BatchOptions one;
-  one.mode = model::EvalMode::kFast;
-  one.jobs = 1;
-  model::BatchOptions many = one;
-  many.jobs = 4;
-  const std::vector<model::Prediction> a = model::evaluate_batch(points, one);
-  const std::vector<model::Prediction> b = model::evaluate_batch(points, many);
-  for (std::size_t i = 0; i < points.size(); ++i)
-    ASSERT_TRUE(bitwise_equal(a[i], b[i])) << "point " << i;
-}
-
 TEST(EvalMode, GridEntryMatchesSpanEntryBitwise) {
   // The sweep-shaped entry (shared config broadcast) must stage identical
   // values to the AoS entry: same expressions, same operation order.
@@ -158,7 +141,6 @@ TEST(EvalMode, GridEntryMatchesSpanEntryBitwise) {
        {model::EvalMode::kExact, model::EvalMode::kFast}) {
     model::BatchOptions options;
     options.mode = mode;
-    options.jobs = 1;
     const std::vector<model::Prediction> via_span =
         model::evaluate_batch(points, options);
     const std::vector<model::Prediction> via_grid =
@@ -188,7 +170,7 @@ TEST(Planner, PlanMatchesScalarSweepAndFindsBest) {
   Planner planner;
   PlanRequest request;
   request.config = table4_config(50000, 5.0);
-  const PlanResponse response = planner.plan(request, /*jobs=*/1);
+  const PlanResponse response = planner.plan(request);
   ASSERT_EQ(response.sweep().size(), 9u);  // 1.0, 1.25, ..., 3.0
   double best_total = response.sweep()[0].total_time;
   std::size_t best_index = 0;
@@ -333,7 +315,7 @@ TEST(Planner, ConcurrentPlansMatchSerial) {
   Planner serial;
   std::vector<PlanResponse> expected;
   for (const PlanRequest& request : mix)
-    expected.push_back(serial.plan(request, /*jobs=*/1));
+    expected.push_back(serial.plan(request));
 
   Planner shared(/*plan_cache_capacity=*/8);
   constexpr int kThreads = 4;
@@ -345,7 +327,7 @@ TEST(Planner, ConcurrentPlansMatchSerial) {
       std::mt19937 rng(static_cast<unsigned>(t) + 1);
       for (int k = 0; k < kPlansPerThread; ++k) {
         const std::size_t i = rng() % mix.size();
-        const PlanResponse got = shared.plan(mix[i], /*jobs=*/1);
+        const PlanResponse got = shared.plan(mix[i]);
         const PlanResponse& want = expected[i];
         bool same = got.best_index() == want.best_index() &&
                     got.sweep().size() == want.sweep().size();
@@ -449,18 +431,19 @@ TEST(Serve, AnswerAtTheEq13PoleIsTheFirstDegreeWithNullCosts) {
 }
 
 TEST(Serve, ResponsesAreIdenticalAcrossJobCountsAndReruns) {
+  // Every plan runs on the calling thread, so no job count reaches the
+  // bytes; the wall clock must not either, in both modes.
   const std::string requests =
       read_file(std::string(REDCR_TEST_DATA_DIR) + "/serve_requests.ndjson");
-  apps::ServeOptions one;
-  one.jobs = 1;
-  apps::ServeOptions many;
-  many.jobs = 4;
-  std::string first, second, rerun;
-  (void)apps::serve_replay(requests, first, one);
-  (void)apps::serve_replay(requests, second, many);
-  (void)apps::serve_replay(requests, rerun, one);
-  EXPECT_EQ(first, second);  // jobs never leak into the bytes
-  EXPECT_EQ(first, rerun);   // neither does the wall clock
+  for (const model::EvalMode mode :
+       {model::EvalMode::kFast, model::EvalMode::kExact}) {
+    apps::ServeOptions options;
+    options.mode = mode;
+    std::string first, rerun;
+    (void)apps::serve_replay(requests, first, options);
+    (void)apps::serve_replay(requests, rerun, options);
+    EXPECT_EQ(first, rerun) << "mode=" << static_cast<int>(mode);
+  }
 }
 
 TEST(Serve, DuplicateRequestsComeFromCache) {

@@ -198,10 +198,9 @@ TEST(Schema, ValuesReachTheirFields) {
   EXPECT_EQ(run.iterations, -3);  // a count; JobExecutor judges its sense
   EXPECT_EQ(run.options.engine, runtime::ExecMode::kEvent);
   cli::ServeInputs serve;
-  ASSERT_EQ(error_of(cli::serve_flags(serve),
-                     {"--jobs", "auto", "--cache", "0", "--mode", "exact"}),
-            "");
-  EXPECT_EQ(serve.options.jobs, 0);
+  ASSERT_EQ(
+      error_of(cli::serve_flags(serve), {"--cache", "0", "--mode", "exact"}),
+      "");
   EXPECT_EQ(serve.options.cache_capacity, 0u);
   EXPECT_EQ(serve.options.mode, model::EvalMode::kExact);
 }

@@ -243,7 +243,6 @@ util::FlagSet analyze_flags(AnalyzeInputs& in) {
 util::FlagSet serve_flags(ServeInputs& in) {
   return {
       {"replay", "FILE", "", in.replay},
-      exp::jobs_knob(in.options.jobs),
       // 0 = an unbounded cache (no eviction). ServeOptions holds the
       // defaults of these two.
       {"cache", "N", "", Domain::count(0, 1e15), in.options.cache_capacity},

@@ -425,11 +425,11 @@ void usage() {
       "through the plan-cached redcr::Planner and prints one NDJSON\n"
       "response per request on stdout — best_r, total_hours, nodes,\n"
       "interval_min, system_mtbf_hours, expected_failures, from_cache —\n"
-      "deterministic bytes at any --jobs level. --cache N bounds the plan\n"
-      "cache at N entries (default 256; 0 = no eviction). The qps/latency\n"
-      "report and planner.* metrics land on stderr. --mode exact answers\n"
-      "bitwise-identically to scalar predict(); fast (default) uses the\n"
-      "vectorized kernels. '-' reads stdin.\n\n"
+      "deterministic bytes, identical across reruns. --cache N bounds the\n"
+      "plan cache at N entries (default 256; 0 = no eviction). The\n"
+      "qps/latency report and planner.* metrics land on stderr. --mode\n"
+      "exact answers bitwise-identically to scalar predict(); fast (default)\n"
+      "uses the vectorized kernels. '-' reads stdin.\n\n"
       "Journal analysis: `run --journal-out FILE` records every causally\n"
       "meaningful event (failures, per-level checkpoint commits, flush\n"
       "launches/losses, restarts, restores, rework, aborts) as NDJSON, each\n"
