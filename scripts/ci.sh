@@ -157,6 +157,18 @@ run_ff_diff_cell "flat, Weibull k=2" --weibull-shape 2
 run_ff_diff_cell "flat, r=2.5" --redundancy 2.5
 run_ff_diff_cell "flat, r=3" --redundancy 3
 run_ff_diff_cell "3-level async flush" --ckpt-levels "$LEVELS_FF" --async-flush
+
+echo "--- differential: campaign (bench_fig11_12, 3 seeds, 4 threads)"
+# A campaign's worker threads each keep the fast-forward prototypes of the
+# job shape they ran last and reuse them across that shape's seeds. The
+# fast-forward sweep on four threads must write the same CSV as the event
+# engine on one.
+build-san/bench/bench_fig11_12 --quick --seeds 3 --engine event --jobs 1 \
+  --log-level error --csv "$FF_DIR/event" >/dev/null
+build-san/bench/bench_fig11_12 --quick --seeds 3 --engine fastforward \
+  --jobs 4 --log-level error --csv "$FF_DIR/ff" >/dev/null
+diff -u "$FF_DIR/event/fig11_12.csv" "$FF_DIR/ff/fig11_12.csv" \
+  || { echo "ci.sh: campaign CSV diverged across engines" >&2; exit 1; }
 rm -rf "$FF_DIR"
 
 echo "=== ci.sh: journal analyze smoke (ASan/UBSan) ==="

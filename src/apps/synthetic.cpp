@@ -24,6 +24,11 @@ SyntheticWorkload::SyntheticWorkload(SyntheticSpec spec) : spec_(spec) {
   require_quantity(spec_.allreduce_bytes, "SyntheticWorkload: allreduce_bytes");
 }
 
+bool SyntheticWorkload::same_shape(const Workload& other) const noexcept {
+  const auto* synthetic = dynamic_cast<const SyntheticWorkload*>(&other);
+  return synthetic != nullptr && synthetic->spec_ == spec_;
+}
+
 sim::CoTask<void> SyntheticWorkload::run(simmpi::Comm& comm,
                                          long start_iteration,
                                          BoundaryHook hook) {

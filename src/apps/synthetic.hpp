@@ -27,6 +27,8 @@ struct SyntheticSpec {
   int allreduces_per_iteration = 2;
   /// Contribution size of each allreduce, bytes.
   util::Bytes allreduce_bytes = 16.0;
+
+  bool operator==(const SyntheticSpec&) const = default;
 };
 
 class SyntheticWorkload final : public Workload {
@@ -44,6 +46,8 @@ class SyntheticWorkload final : public Workload {
   [[nodiscard]] bool fast_forward_safe() const noexcept override {
     return true;
   }
+  /// Equal specs run identically: the kernel keeps no per-rank state.
+  [[nodiscard]] bool same_shape(const Workload& other) const noexcept override;
 
   [[nodiscard]] const SyntheticSpec& spec() const noexcept { return spec_; }
 

@@ -63,6 +63,15 @@ class Workload {
   [[nodiscard]] virtual bool fast_forward_safe() const noexcept {
     return false;
   }
+
+  /// Shape equality for the fast-forward driver's per-thread prototypes:
+  /// true only when `other` is known to run exactly like this instance (the
+  /// same kernel and spec). The default never matches, so a kernel without
+  /// its own never shares prototypes across jobs.
+  [[nodiscard]] virtual bool same_shape(const Workload& /*other*/) const
+      noexcept {
+    return false;
+  }
 };
 
 }  // namespace redcr::apps

@@ -104,7 +104,8 @@ sim::CoTask<int> CheckpointController::agree_epoch(simmpi::Endpoint& endpoint,
 
 sim::CoTask<bool> CheckpointController::maybe_checkpoint(
     simmpi::Endpoint& endpoint, long iteration) {
-  if (ff_probe_ != nullptr) ff_probe_->record_hook(iteration, engine_.now());
+  if (ff_probe_ != nullptr && ff_probe_->record_hook(iteration, engine_.now()))
+    engine_.request_stop();
   if (!config_.enabled) co_return false;
   const int epoch = co_await agree_epoch(endpoint, iteration);
   auto& my_done = done_epoch_[static_cast<std::size_t>(endpoint.rank())];

@@ -158,12 +158,20 @@ struct FfProbe {
     double ready = 0.0;  ///< drain completion time
   };
   std::vector<Flush> flushes;
+  /// Boundary whose first entry stops the prototype's engine (-1 = none):
+  /// the driver advances a shared prototype no further than the divergence
+  /// boundary of the episode it is answering for.
+  long stop_hook = -1;
 
-  void record_hook(long iteration, double now) {
+  /// Records the first entry into boundary `iteration`; true when that is
+  /// the first entry into `stop_hook`.
+  bool record_hook(long iteration, double now) {
     const auto i = static_cast<std::size_t>(iteration);
     if (i >= hook_entry.size())
       hook_entry.resize(i + 1, std::numeric_limits<double>::quiet_NaN());
-    if (std::isnan(hook_entry[i])) hook_entry[i] = now;
+    if (!std::isnan(hook_entry[i])) return false;
+    hook_entry[i] = now;
+    return iteration == stop_hook;
   }
 };
 

@@ -110,6 +110,8 @@ struct LevelParams {
   /// Rejects bad knobs with a one-line std::invalid_argument naming the
   /// level index and the offending field.
   void validate(int index, int num_ranks) const;
+
+  bool operator==(const LevelParams&) const = default;
 };
 
 /// The whole hierarchy configuration. Empty levels = the flat store.
@@ -131,6 +133,8 @@ struct HierarchyParams {
   /// Validates level count/order and every per-level knob; throws
   /// std::invalid_argument with an actionable message.
   void validate(int num_ranks) const;
+
+  bool operator==(const HierarchyParams&) const = default;
 };
 
 /// A level's spec keys, bound to `level`: bw, lat, rbw, ret, interval, corr,

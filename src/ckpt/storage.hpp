@@ -31,6 +31,8 @@ struct StorageParams {
   /// Rejects NaN/non-positive bandwidth and NaN/negative latency with a
   /// one-line std::invalid_argument.
   void validate() const;
+
+  bool operator==(const StorageParams&) const = default;
 };
 
 class StableStorage {

@@ -71,6 +71,8 @@ struct CkptFaultParams {
   /// Rejects NaN and out-of-range probabilities with a one-line
   /// std::invalid_argument naming the offending knob.
   void validate() const;
+
+  bool operator==(const CkptFaultParams&) const = default;
 };
 
 /// Silent-data-corruption injection knobs. Both default to 0, which keeps
@@ -96,6 +98,8 @@ struct SdcParams {
 
   /// Rejects NaN/out-of-range knobs with a one-line std::invalid_argument.
   void validate() const;
+
+  bool operator==(const SdcParams&) const = default;
 };
 
 /// Capped exponential backoff: attempt 0 runs immediately, attempt k waits
@@ -111,6 +115,8 @@ struct RetryPolicy {
   /// Rejects non-positive attempt counts and NaN/negative delays; `what`
   /// names the policy in the error message (e.g. "ckpt_write_retry").
   void validate(const char* what) const;
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 /// Deterministic fault oracle over CkptFaultParams (see file comment).

@@ -54,6 +54,8 @@ struct FailureParams {
   /// 0.00586, where Γ overflows and every draw is 0 or NaN, or an infinite
   /// θ), with a one-line std::invalid_argument naming the offending knob.
   void validate() const;
+
+  bool operator==(const FailureParams&) const = default;
 };
 
 /// The inverse CDF every failure time goes through: Weibull with mean θ has

@@ -43,6 +43,8 @@ struct NetworkParams {
   /// Rejects NaN/non-positive bandwidth and a non-finite or negative
   /// latency or send overhead with a one-line std::invalid_argument.
   void validate() const;
+
+  bool operator==(const NetworkParams&) const = default;
 };
 
 /// Cumulative traffic counters.

@@ -49,6 +49,8 @@ struct RedConfig {
   /// Compare replica copies on receive; mismatches are counted and, with
   /// three or more copies, outvoted.
   bool vote = true;
+
+  bool operator==(const RedConfig&) const = default;
 };
 
 /// Liveness oracle consulted under live failure semantics (rMPI-style

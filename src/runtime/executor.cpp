@@ -36,6 +36,14 @@ ckpt::StorageHierarchy make_storage(const JobConfig& config,
   return ckpt::StorageHierarchy::flat(level, num_physical);
 }
 
+std::optional<failure::FaultProcess> make_fault_process(
+    const JobConfig& config) {
+  if (config.ckpt_faults.enabled() || config.hierarchy.any_fault_prob() ||
+      config.sdc.enabled())
+    return failure::FaultProcess(config.ckpt_faults, config.sdc);
+  return std::nullopt;
+}
+
 bool ckpt_unreliable(const JobConfig& config) noexcept {
   return config.ckpt_faults.enabled() || config.ckpt_retention > 1 ||
          config.hierarchy.enabled();
@@ -143,13 +151,8 @@ JobReport JobExecutor::run() {
   // rollback restores through the same fallback walk, so it counts too).
   ckpt::StorageHierarchy storage =
       make_storage(config_, static_cast<int>(map_.num_physical()));
-  std::optional<failure::FaultProcess> fault_process;
-  // The hierarchy's per-level probabilities ride the same oracle (and the
-  // same seed knob), so a hierarchy with faults needs one even when the
-  // flat probabilities are all zero.
-  if (config_.ckpt_faults.enabled() || config_.hierarchy.any_fault_prob() ||
-      config_.sdc.enabled())
-    fault_process.emplace(config_.ckpt_faults, config_.sdc);
+  const std::optional<failure::FaultProcess> fault_process =
+      make_fault_process(config_);
   const failure::FaultProcess* faults =
       fault_process ? &*fault_process : nullptr;
   const bool unreliable = ckpt_unreliable(config_) || config_.sdc.enabled();
@@ -162,7 +165,8 @@ JobReport JobExecutor::run() {
   if (config_.engine != ExecMode::kEvent) {
     std::string reason;
     if (FastForwardDriver::supported(config_, storage, workloads_, &reason)) {
-      ff = std::make_unique<FastForwardDriver>(config_, map_, factory_);
+      ff = std::make_unique<FastForwardDriver>(config_, map_, factory_,
+                                               workloads_);
     } else {
       report.ff.fallbacks = 1;
       if (config_.engine == ExecMode::kFastForward) {
@@ -285,6 +289,8 @@ JobReport JobExecutor::run() {
                              static_cast<std::uint64_t>(episode), storage,
                              epoch_base, faults, report.useful_work,
                              seed_infections);
+    // A reconstructed episode, killed or completing, counts as fast; only
+    // an episode the event engine replayed counts as a fallback.
     if (ff != nullptr) {
       if (ff_res) {
         ++report.ff.episodes_fast;

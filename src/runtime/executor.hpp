@@ -107,11 +107,12 @@ struct JobConfig {
   /// false (a frozen rank cannot join the collective quiesce); restart
   /// after a sphere death then replays from iteration 0.
   bool live_failure_semantics = false;
-  /// Execution engine. kFastForward/kAuto reconstruct each killed episode's
-  /// result arithmetically from a cached failure-free prototype run and the
-  /// fault oracle, with a per-episode fall-back to the event engine whenever
-  /// message-level semantics could matter. The contract is bit-identical
-  /// JobReports and obs counters versus kEvent for every configuration.
+  /// Execution engine. kFastForward/kAuto reconstruct each episode's result
+  /// arithmetically from failure-free prototype runs, which every job of the
+  /// same shape on a thread shares, and the fault oracle, with a per-episode
+  /// fall-back to the event engine whenever message-level semantics could
+  /// matter. The contract is bit-identical JobReports and obs counters
+  /// versus kEvent for every configuration.
   ExecMode engine = ExecMode::kEvent;
   /// Safety valve: give up after this many episodes (reported as
   /// !completed). A job whose MTBF is far below its checkpoint cost can
@@ -132,6 +133,13 @@ struct JobConfig {
   /// loss to exactly one fault. Null = off: every instrumentation site is a
   /// single branch and runs stay byte-identical to a journal-free build.
   obs::Journal* journal = nullptr;
+
+  /// Field-wise equality over every member and the parameter structs it
+  /// holds, each of which defaults its own operator==. The fast-forward
+  /// driver keys its per-thread prototypes on it, so a field added later
+  /// takes part in that key automatically. NaN never compares equal, so a
+  /// config holding one simply never shares prototypes.
+  bool operator==(const JobConfig&) const = default;
 };
 
 /// Structured end-of-job outcome when the unreliable C/R pipeline gives up:
@@ -233,13 +241,14 @@ struct JobReport {
   /// the simulated job, and stay all-zero under ExecMode::kEvent (the
   /// differential harness compares everything but this block).
   struct FastForwardStats {
-    int episodes_fast = 0;    ///< episodes reconstructed arithmetically
+    int episodes_fast = 0;    ///< episodes reconstructed from prototypes,
+                              ///< killed and completing alike
     int fallbacks = 0;        ///< episodes replayed on the event engine
                               ///< (plus 1 when the whole config fell back)
-    std::uint64_t epochs_skipped = 0;  ///< checkpoint epochs advanced in
-                                       ///< closed form instead of simulated
-    std::uint64_t replay_events = 0;   ///< engine events actually processed
-                                       ///< inside fallback episodes
+    std::uint64_t epochs_skipped = 0;  ///< checkpoint epochs of
+                                       ///< reconstructed episodes
+    std::uint64_t replay_events = 0;   ///< engine events processed inside
+                                       ///< replayed episodes only
   };
   FastForwardStats ff;
 };
@@ -287,6 +296,14 @@ struct EpisodeResult {
 /// reaches the controller through CkptConfig::forked).
 [[nodiscard]] ckpt::StorageHierarchy make_storage(const JobConfig& config,
                                                   int num_physical);
+
+/// The job's fault oracle, or none: one exists exactly when the C/R fault
+/// probabilities, a hierarchy level's probabilities or the SDC model can
+/// draw from it. The hierarchy's per-level probabilities ride the same
+/// oracle (and the same seed knob), so a hierarchy with faults needs one even
+/// when the flat probabilities are all zero.
+[[nodiscard]] std::optional<failure::FaultProcess> make_fault_process(
+    const JobConfig& config);
 
 /// Can the checkpoint pipeline itself fail or fall back — C/R fault
 /// probabilities, retention beyond one generation, or a configured

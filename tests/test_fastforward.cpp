@@ -3,13 +3,19 @@
 // JobReport (and obs counters, and journal bytes where a journal forces the
 // fall-back) versus ExecMode::kEvent. The only permitted difference is the
 // report.ff diagnostics block, which describes the engine, not the job.
+#include <coroutine>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "redcr/redcr.hpp"
 #include "runtime/executor.hpp"
+#include "simmpi/collectives.hpp"
 #include "util/units.hpp"
 
 namespace redcr {
@@ -36,11 +43,13 @@ apps::SyntheticSpec small_spec() {
   return spec;
 }
 
-runtime::WorkloadFactory factory() {
-  return [](int, int) {
-    return std::make_unique<apps::SyntheticWorkload>(small_spec());
+runtime::WorkloadFactory factory_of(const apps::SyntheticSpec& spec) {
+  return [spec](int, int) {
+    return std::make_unique<apps::SyntheticWorkload>(spec);
   };
 }
+
+runtime::WorkloadFactory factory() { return factory_of(small_spec()); }
 
 /// Failure-heavy flat baseline: MTBF far below the episode length, so most
 /// seeds pay many sphere deaths before completing.
@@ -151,9 +160,31 @@ void expect_reports_identical(const runtime::JobReport& a,
   }
 }
 
-runtime::JobReport run_with(runtime::JobConfig cfg, runtime::ExecMode mode) {
+/// The ff diagnostics block, which the warm-vs-cold contract covers too:
+/// what a thread ran before must not change how a job is covered.
+void expect_ff_identical(const runtime::JobReport& a,
+                         const runtime::JobReport& b,
+                         const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.ff.episodes_fast, b.ff.episodes_fast);
+  EXPECT_EQ(a.ff.fallbacks, b.ff.fallbacks);
+  EXPECT_EQ(a.ff.epochs_skipped, b.ff.epochs_skipped);
+  EXPECT_EQ(a.ff.replay_events, b.ff.replay_events);
+}
+
+runtime::JobReport run_with(runtime::JobConfig cfg, runtime::ExecMode mode,
+                            const apps::SyntheticSpec& spec = small_spec()) {
   cfg.engine = mode;
-  return runtime::JobExecutor(cfg, factory()).run();
+  return runtime::JobExecutor(cfg, factory_of(spec)).run();
+}
+
+/// Runs `body` on a thread of its own, whose fast-forward prototype entry
+/// starts empty, and returns what it returns.
+template <class F>
+auto on_fresh_thread(F body) {
+  decltype(body()) out{};
+  std::thread([&] { out = body(); }).join();
+  return out;
 }
 
 void expect_invariant_tiles(const runtime::JobReport& r,
@@ -169,6 +200,8 @@ void expect_invariant_tiles(const runtime::JobReport& r,
 
 TEST(FastForwardDifferential, FlatGridIsBitIdenticalAcross24Seeds) {
   int fast_total = 0;
+  int completed = 0;
+  int completed_with_fallback = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     for (const double r : {1.0, 1.5, 2.0, 3.0}) {
       const std::string what =
@@ -183,10 +216,53 @@ TEST(FastForwardDifferential, FlatGridIsBitIdenticalAcross24Seeds) {
       EXPECT_EQ(event.ff.episodes_fast, 0);
       EXPECT_EQ(event.ff.fallbacks, 0);
       fast_total += ff.ff.episodes_fast;
+      if (ff.completed) {
+        ++completed;
+        if (ff.ff.fallbacks > 0) ++completed_with_fallback;
+      }
     }
   }
   // The grid must exercise the fast path, not fall back its way to green.
   EXPECT_GT(fast_total, 24);
+  // A completing episode is reconstructed from the prototype started at its
+  // own iteration, not replayed: only ties and t = 0 deaths still replay.
+  std::printf("flat grid: %d of %d completed jobs report a fallback\n",
+              completed_with_fallback, completed);
+  EXPECT_GT(completed, 0);
+  EXPECT_LE(10 * completed_with_fallback, completed);
+}
+
+TEST(FastForwardDifferential, SingleEpisodeJobsReplayNothing) {
+  // MTBF far above the job length: the first episode completes. It is the
+  // iteration-0 prototype minus the injector, so nothing replays, and the
+  // engine count is the prototype's plus the injector's spawn event.
+  runtime::JobConfig multilevel = hierarchy_config(3);
+  multilevel.fail.node_mtbf = hours(1e6);
+  // A PFS too slow for its cadence: async flushes queue behind each other,
+  // so the job ends with a terminal drain whose commits are replayed too.
+  runtime::JobConfig draining = multilevel;
+  draining.hierarchy = ckpt::parse_hierarchy(
+      "local,bw=1e10,lat=0.01,rbw=1e10;pfs,bw=1e8,lat=0.01,rbw=1e8,ret=2");
+  draining.hierarchy.async_flush = true;
+  std::vector<std::pair<std::string, runtime::JobConfig>> cases = {
+      {"multilevel async", multilevel}, {"terminal drain", draining}};
+  for (const double r : {1.0, 1.5, 2.0, 3.0}) {
+    runtime::JobConfig cfg = flat_config(3, r);
+    cfg.fail.node_mtbf = hours(1e6);
+    cases.emplace_back("flat r " + std::to_string(r), cfg);
+  }
+  for (const auto& [what, cfg] : cases) {
+    const auto event = run_with(cfg, runtime::ExecMode::kEvent);
+    const auto ff = run_with(cfg, runtime::ExecMode::kFastForward);
+    expect_reports_identical(event, ff, what);
+    EXPECT_EQ(ff.episodes, 1) << what;
+    EXPECT_TRUE(ff.completed) << what;
+    EXPECT_EQ(ff.ff.episodes_fast, 1) << what;
+    EXPECT_EQ(ff.ff.fallbacks, 0) << what;
+    EXPECT_EQ(ff.ff.replay_events, 0u) << what;
+    EXPECT_EQ(ff.engine_events, event.engine_events) << what;
+  }
+  EXPECT_GT(run_with(draining, runtime::ExecMode::kEvent).flush_time, 0.0);
 }
 
 // Weibull failures are inside the supported set; every shape but k = 1
@@ -323,33 +399,31 @@ TEST(FastForwardDifferential, AutoFallsBackWhenAJournalSinkIsAttached) {
 // ---- Determinism of the fast path itself ------------------------------------
 
 TEST(FastForwardDifferential, RerunIsBitIdentical) {
+  // Both runs share one thread and one shape, so the second reuses the
+  // prototypes the first built: the ff counters must match too.
   const auto first = run_with(hierarchy_config(13),
                               runtime::ExecMode::kFastForward);
   const auto second = run_with(hierarchy_config(13),
                                runtime::ExecMode::kFastForward);
   expect_reports_identical(first, second, "rerun");
-  EXPECT_EQ(first.ff.episodes_fast, second.ff.episodes_fast);
-  EXPECT_EQ(first.ff.fallbacks, second.ff.fallbacks);
-  EXPECT_EQ(first.ff.epochs_skipped, second.ff.epochs_skipped);
-  EXPECT_EQ(first.ff.replay_events, second.ff.replay_events);
+  expect_ff_identical(first, second, "rerun");
 }
 
 TEST(FastForwardDifferential, SweepCellsIdenticalAtAnyJobsLevel) {
   // The sweep cells default to kAuto through --engine; a parallel sweep must
-  // produce the same cells as a serial one (prototype caches are per
-  // executor, never shared across worker threads).
+  // produce the same cells as a serial one. Prototypes live in one entry
+  // per worker thread, never shared across threads, and the three seeds of
+  // a cell share its shape, so a worker reuses its entry across them.
   exp::ParamGrid grid;
-  grid.axis("mtbf", {0.4, 0.8}).axis("r", {1.0, 2.0});
+  grid.axis("mtbf", {0.4, 0.8}).axis("r", {1.0, 2.0}).axis("seed",
+                                                           {21, 22, 23});
   const std::vector<exp::Trial> trials = grid.trials("");
   const auto cell_of = [](const exp::Trial& trial) {
-    runtime::JobConfig cfg =
-        flat_config(21, trial.at("r"));
+    runtime::JobConfig cfg = flat_config(
+        static_cast<std::uint64_t>(trial.at("seed")), trial.at("r"));
     cfg.fail.node_mtbf = hours(trial.at("mtbf"));
     cfg.engine = runtime::ExecMode::kAuto;
-    const runtime::JobReport r =
-        runtime::JobExecutor(cfg, factory()).run();
-    return std::pair<double, double>(r.wallclock,
-                                     static_cast<double>(r.engine_events));
+    return runtime::JobExecutor(cfg, factory()).run();
   };
   RunOptions serial;
   serial.jobs = 1;
@@ -359,9 +433,290 @@ TEST(FastForwardDifferential, SweepCellsIdenticalAtAnyJobsLevel) {
   const auto b = exp::SweepRunner(parallel).map(trials, cell_of);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first) << "cell " << i;
-    EXPECT_EQ(a[i].second, b[i].second) << "cell " << i;
+    expect_reports_identical(a[i], b[i], "cell " + std::to_string(i));
+    expect_ff_identical(a[i], b[i], "cell " + std::to_string(i));
   }
+}
+
+// ---- Prototypes shared across a thread's jobs --------------------------------
+
+/// A named job config as a function of the failure seed alone.
+using Variant =
+    std::pair<std::string, std::function<runtime::JobConfig(std::uint64_t)>>;
+
+/// Every grid variant of the differential harness, so that consecutive
+/// seeds of one variant share one shape.
+std::vector<Variant> grid_variants() {
+  std::vector<Variant> out;
+  for (const double r : {1.0, 1.5, 2.0, 3.0})
+    out.emplace_back("flat r " + std::to_string(r),
+                     [r](std::uint64_t s) { return flat_config(s, r); });
+  for (const double k : {0.7, 2.0})
+    out.emplace_back("weibull k " + std::to_string(k), [k](std::uint64_t s) {
+      runtime::JobConfig cfg = flat_config(s, 1.5);
+      cfg.fail.weibull_shape = k;
+      return cfg;
+    });
+  out.emplace_back("forked", [](std::uint64_t s) {
+    runtime::JobConfig cfg = flat_config(s, 2.0);
+    cfg.ckpt_forked = true;
+    return cfg;
+  });
+  out.emplace_back("pull", [](std::uint64_t s) {
+    runtime::JobConfig cfg = flat_config(s, 2.0);
+    cfg.replication = runtime::Replication::kPull;
+    return cfg;
+  });
+  out.emplace_back("corrupt", [](std::uint64_t s) {
+    runtime::JobConfig cfg = flat_config(s, 1.5);
+    cfg.ckpt_faults.corruption_prob = 0.2;
+    cfg.ckpt_faults.restart_failure_prob = 0.1;
+    cfg.ckpt_faults.seed = 41;
+    cfg.ckpt_retention = 3;
+    return cfg;
+  });
+  out.emplace_back("multilevel", [](std::uint64_t s) {
+    runtime::JobConfig cfg = hierarchy_config(s);
+    cfg.ckpt_faults.seed = 7920;
+    return cfg;
+  });
+  return out;
+}
+
+TEST(FastForwardWarmThread, WarmEqualsColdOnEveryGridVariant) {
+  // Seed s, then seed s + 1, on one thread; seed s + 1 alone on a fresh
+  // one. The second job reuses the first's prototypes, however far it
+  // advanced them, and must report exactly what the cold job does, the ff
+  // block included — and what the event engine does.
+  int fast_total = 0;
+  for (const auto& [name, make] : grid_variants()) {
+    for (const std::uint64_t s : {2u, 9u, 16u}) {
+      const std::string what = name + " seed " + std::to_string(s + 1);
+      const runtime::JobConfig next = make(s + 1);
+      const auto warm = on_fresh_thread([&, &make = make] {
+        (void)run_with(make(s), runtime::ExecMode::kFastForward);
+        return run_with(next, runtime::ExecMode::kFastForward);
+      });
+      const auto cold = on_fresh_thread(
+          [&] { return run_with(next, runtime::ExecMode::kFastForward); });
+      expect_reports_identical(cold, warm, what);
+      expect_ff_identical(cold, warm, what);
+      expect_reports_identical(run_with(next, runtime::ExecMode::kEvent),
+                               warm, what + " vs event");
+      fast_total += warm.ff.episodes_fast;
+    }
+  }
+  EXPECT_GT(fast_total, 0);
+}
+
+TEST(FastForwardWarmThread, ShapesNeverAlias) {
+  // After a warm-up job, one prototype-relevant field changes at a time:
+  // the job must not reuse the warm-up's prototypes, so it reports what it
+  // does on a fresh thread and on the event engine.
+  const runtime::JobConfig flat = flat_config(5, 1.5);
+  const runtime::JobConfig levels = hierarchy_config(5);
+  struct Case {
+    std::string name;
+    runtime::JobConfig base;
+    runtime::JobConfig cfg;
+    apps::SyntheticSpec spec = small_spec();
+  };
+  std::vector<Case> cases;
+  const auto add = [&cases](std::string name, const runtime::JobConfig& base,
+                            const std::function<void(Case&)>& edit) {
+    Case c{std::move(name), base, base};
+    edit(c);
+    cases.push_back(std::move(c));
+  };
+  add("delta", flat, [](Case& c) { c.cfg.checkpoint_interval = 45.0; });
+  add("image_bytes", flat, [](Case& c) { c.cfg.image_bytes = 5e8; });
+  add("network bandwidth", flat,
+      [](Case& c) { c.cfg.network.bandwidth = 2e8; });
+  add("compute_per_iteration", flat,
+      [](Case& c) { c.spec.compute_per_iteration = 12.0; });
+  add("halo_bytes", flat, [](Case& c) { c.spec.halo_bytes = 2e6; });
+  add("redundancy", flat, [](Case& c) { c.cfg.redundancy = 2.0; });
+  add("ckpt_forked", flat, [](Case& c) { c.cfg.ckpt_forked = true; });
+  add("level interval", levels,
+      [](Case& c) { c.cfg.hierarchy.levels[1].interval = 3; });
+  add("level bandwidth", levels,
+      [](Case& c) { c.cfg.hierarchy.levels[0].device.bandwidth = 5e9; });
+  add("async_flush", levels,
+      [](Case& c) { c.cfg.hierarchy.async_flush = false; });
+  for (const Case& c : cases) {
+    const auto warm = on_fresh_thread([&c] {
+      (void)run_with(c.base, runtime::ExecMode::kFastForward);
+      return run_with(c.cfg, runtime::ExecMode::kFastForward, c.spec);
+    });
+    const auto cold = on_fresh_thread([&c] {
+      return run_with(c.cfg, runtime::ExecMode::kFastForward, c.spec);
+    });
+    const auto event = run_with(c.cfg, runtime::ExecMode::kEvent, c.spec);
+    expect_reports_identical(cold, warm, c.name);
+    expect_ff_identical(cold, warm, c.name);
+    expect_reports_identical(event, warm, c.name + " vs event");
+    EXPECT_GT(warm.ff.episodes_fast, 0) << c.name;
+  }
+}
+
+TEST(FastForwardWarmThread, SignedZerosShareSafely) {
+  // -0.0 and +0.0 compare equal, so these two jobs share one entry. No
+  // prototype-relevant field tells them apart (each only enters sums with
+  // simulated times, which start at +0.0), so the shared prototypes answer
+  // the second job exactly.
+  runtime::JobConfig plus = flat_config(5, 1.5);
+  plus.network.latency = 0.0;
+  plus.network.send_overhead = 0.0;
+  plus.storage.base_latency = 0.0;
+  plus.image_bytes = 0.0;
+  apps::SyntheticSpec plus_spec = small_spec();
+  plus_spec.halo_bytes = 0.0;
+  plus_spec.allreduce_bytes = 0.0;
+  runtime::JobConfig minus = plus;
+  minus.fail.seed = 6;
+  minus.network.latency = -0.0;
+  minus.network.send_overhead = -0.0;
+  minus.storage.base_latency = -0.0;
+  minus.image_bytes = -0.0;
+  apps::SyntheticSpec minus_spec = plus_spec;
+  minus_spec.halo_bytes = -0.0;
+  minus_spec.allreduce_bytes = -0.0;
+  const auto warm = on_fresh_thread([&] {
+    (void)run_with(plus, runtime::ExecMode::kFastForward, plus_spec);
+    return run_with(minus, runtime::ExecMode::kFastForward, minus_spec);
+  });
+  const auto cold = on_fresh_thread([&] {
+    return run_with(minus, runtime::ExecMode::kFastForward, minus_spec);
+  });
+  expect_reports_identical(cold, warm, "signed zeros");
+  expect_ff_identical(cold, warm, "signed zeros");
+  expect_reports_identical(
+      run_with(minus, runtime::ExecMode::kEvent, minus_spec), warm,
+      "signed zeros vs event");
+  EXPECT_GT(warm.ff.episodes_fast, 0);
+}
+
+/// A fast_forward_safe kernel that, `poison_after` iterations into any
+/// episode, parks every rank forever (kStall) or throws (kThrow). Its
+/// prototypes therefore stop being able to answer at one fixed instant,
+/// while each episode of it is still a prefix of them up to that instant.
+class PoisonWorkload final : public apps::Workload {
+ public:
+  enum class Mode { kStall, kThrow };
+  PoisonWorkload(long poison_after, Mode mode)
+      : poison_after_(poison_after), mode_(mode) {}
+
+  [[nodiscard]] long total_iterations() const noexcept override {
+    return 40;
+  }
+  sim::CoTask<void> run(simmpi::Comm& comm, long start_iteration,
+                        apps::BoundaryHook hook) override {
+    for (long iter = start_iteration; iter < total_iterations(); ++iter) {
+      co_await hook(iter);
+      if (iter - start_iteration == poison_after_) {
+        if (mode_ == Mode::kThrow)
+          throw std::runtime_error("poisoned iteration");
+        co_await Never{};
+      }
+      co_await comm.compute(10.0);
+      (void)co_await simmpi::allreduce(comm, simmpi::Payload::sized(16.0),
+                                       0);
+    }
+  }
+  void restore(long /*iteration*/) override {}
+  [[nodiscard]] bool fast_forward_safe() const noexcept override {
+    return true;
+  }
+  [[nodiscard]] bool same_shape(const apps::Workload& other) const
+      noexcept override {
+    const auto* poison = dynamic_cast<const PoisonWorkload*>(&other);
+    return poison != nullptr && poison->poison_after_ == poison_after_ &&
+           poison->mode_ == mode_;
+  }
+
+ private:
+  /// Suspends forever: nothing ever schedules the resume.
+  struct Never {
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<>) const noexcept {}
+    void await_resume() const noexcept {}
+  };
+  long poison_after_;
+  Mode mode_;
+};
+
+/// A job of the poison kernel; `threw` is set when it threw.
+struct PoisonRun {
+  runtime::JobReport report;
+  bool threw = false;
+};
+
+PoisonRun run_poison(std::uint64_t seed, PoisonWorkload::Mode mode,
+                     runtime::ExecMode engine) {
+  // Two episodes: a clean job is one whose both episodes die before the
+  // poison instant, which a failure-heavy MTBF makes common.
+  runtime::JobConfig cfg = flat_config(seed, 1.5);
+  cfg.fail.node_mtbf = hours(0.25);
+  cfg.max_episodes = 2;
+  cfg.engine = engine;
+  PoisonRun out;
+  try {
+    out.report = runtime::JobExecutor(cfg, [mode](int, int) {
+                   return std::make_unique<PoisonWorkload>(12, mode);
+                 }).run();
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+class FastForwardPoison
+    : public ::testing::TestWithParam<PoisonWorkload::Mode> {};
+INSTANTIATE_TEST_SUITE_P(
+    Modes, FastForwardPoison,
+    ::testing::Values(PoisonWorkload::Mode::kStall,
+                      PoisonWorkload::Mode::kThrow),
+    [](const ::testing::TestParamInfo<PoisonWorkload::Mode>& info) {
+      return info.param == PoisonWorkload::Mode::kStall ? "Stall" : "Throw";
+    });
+
+TEST_P(FastForwardPoison, AnswersDoNotDependOnWhatTheThreadHit) {
+  // Job `hit` lands at or past the poison instant; job `clean` lands only
+  // before it. On a fresh thread and after `hit` on the same thread (whose
+  // prototypes are then poisoned), `clean` must report the same, ff block
+  // included: a prototype answers every landing before its poison instant.
+  const PoisonWorkload::Mode mode = GetParam();
+  std::uint64_t hit = 0;
+  std::uint64_t clean = 0;
+  PoisonRun clean_cold;
+  for (std::uint64_t seed = 1; seed <= 40 && (hit == 0 || clean == 0);
+       ++seed) {
+    const PoisonRun r = on_fresh_thread(
+        [&] { return run_poison(seed, mode, runtime::ExecMode::kFastForward); });
+    if (r.threw || r.report.ff.fallbacks > 0) {
+      if (hit == 0) hit = seed;
+    } else if (clean == 0 && r.report.ff.episodes_fast > 0) {
+      clean = seed;
+      clean_cold = r;
+    }
+  }
+  ASSERT_NE(hit, 0u) << "no seed reached the poison instant";
+  ASSERT_NE(clean, 0u) << "no seed stayed before the poison instant";
+
+  const PoisonRun clean_warm = on_fresh_thread([&] {
+    (void)run_poison(hit, mode, runtime::ExecMode::kFastForward);
+    return run_poison(clean, mode, runtime::ExecMode::kFastForward);
+  });
+  ASSERT_FALSE(clean_warm.threw);
+  const std::string what = "clean seed " + std::to_string(clean) +
+                           " after hit seed " + std::to_string(hit);
+  expect_reports_identical(clean_cold.report, clean_warm.report, what);
+  expect_ff_identical(clean_cold.report, clean_warm.report, what);
+  EXPECT_EQ(clean_warm.report.ff.fallbacks, 0) << what;
+  const PoisonRun event =
+      run_poison(clean, mode, runtime::ExecMode::kEvent);
+  ASSERT_FALSE(event.threw);
+  expect_reports_identical(event.report, clean_warm.report, what + " vs event");
 }
 
 // ---- The gated obs counters (satellite) -------------------------------------
